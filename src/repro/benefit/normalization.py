@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benefit.base import BenefitModel
+from repro.benefit.base import BenefitModel, MarketArrays
 from repro.errors import ValidationError
-from repro.market.market import LaborMarket
 
 SCALERS = ("max-abs", "mean-pos", "none")
 
@@ -50,8 +49,11 @@ class NormalizedBenefit(BenefitModel):
     """Wraps a side model, dividing its matrix by the chosen scale.
 
     The scale is computed per market snapshot (it must reflect the
-    entries actually present), so wrapping is free of global state.
+    entries actually present), so wrapping is free of global state —
+    and every entry depends on the whole market.
     """
+
+    needs_whole_market = True
 
     def __init__(self, inner: BenefitModel, scaler: str = "max-abs") -> None:
         if scaler not in SCALERS:
@@ -61,7 +63,7 @@ class NormalizedBenefit(BenefitModel):
         self.inner = inner
         self.scaler = scaler
 
-    def matrix(self, market: LaborMarket) -> np.ndarray:
+    def matrix(self, market: MarketArrays) -> np.ndarray:
         raw = self.inner.matrix(market)
         return raw / side_scale(raw, self.scaler)
 

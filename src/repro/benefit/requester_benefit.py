@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benefit.base import BenefitModel
-from repro.market.market import LaborMarket
+from repro.benefit.base import BenefitModel, MarketArrays
 from repro.utils.validation import check_nonnegative
 
 
@@ -35,7 +34,6 @@ class QualityGainBenefit(BenefitModel):
     def __init__(self, value_scale: float = 1.0) -> None:
         self.value_scale = check_nonnegative("value_scale", value_scale)
 
-    def matrix(self, market: LaborMarket) -> np.ndarray:
-        accuracy = market.accuracy_matrix()
-        payments = market.task_payments()[np.newaxis, :]
-        return self.value_scale * payments * (accuracy - 0.5) * 2.0
+    def matrix(self, market: MarketArrays) -> np.ndarray:
+        payments = market.task_payments()
+        return self.value_scale * payments * (market.accuracy_matrix() - 0.5) * 2.0

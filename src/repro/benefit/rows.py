@@ -5,15 +5,14 @@ full ``(n_workers, n_tasks)`` matrices — the right call for the
 round-based solvers, and hopeless at streaming scale: a 10^5 × 10^5
 market is 10^10 entries.  The streaming dispatcher only ever needs the
 benefits of *one* arriving entity against a bounded active set, so
-:class:`RowwiseBenefit` computes exactly those slices, vectorized,
-from O(workers + tasks) precomputed entity arrays.
+:class:`RowwiseBenefit` computes exactly those slices.
 
-The slice formulas are the models' own formulas applied elementwise,
-in the same operation order, so a row/column agrees **bit-identically**
-with the corresponding slice of the full matrices (a property test
-pins this).  Models outside the built-in fast path fall back to
-running ``model.matrix`` on a single-row submarket — slower, still
-bounded by the active set.
+It caches the entity arrays once, O(workers + tasks), and answers each
+slice by running the models' own ``matrix`` methods on a gathered
+selection: one formula per model, so a slice agrees **bit-identically**
+with the full matrices.  Models whose entries depend on the whole market
+(:attr:`~repro.benefit.base.BenefitModel.needs_whole_market`, e.g.
+``NormalizedBenefit``) are refused at construction.
 """
 
 from __future__ import annotations
@@ -26,8 +25,47 @@ from repro.benefit.base import BenefitModel
 from repro.benefit.mutual import LinearCombiner, MutualCombiner
 from repro.benefit.requester_benefit import QualityGainBenefit
 from repro.benefit.worker_benefit import NetRewardBenefit
+from repro.errors import ValidationError
 from repro.market.market import LaborMarket
-from repro.market.wage import FlatCost, LinearEffortCost
+from repro.market.worker import accuracy
+
+
+class _Selection:
+    """The :class:`~repro.benefit.base.MarketArrays` of one worker
+    against selected tasks, or of selected workers against one task.
+
+    The single entity is an ``int`` index and, as in NumPy indexing,
+    drops its axis: every array (and so every model's ``matrix``) is
+    1-D along the selected side.  Per-pair skills are gathered once
+    and shared by both models.
+    """
+
+    __slots__ = ("_rows", "_workers", "_tasks", "_categories", "_skills")
+
+    def __init__(self, rows: RowwiseBenefit, workers, tasks) -> None:
+        self._rows = rows
+        self._workers = workers
+        self._tasks = tasks
+        self._categories = rows._categories[tasks]
+        self._skills = rows._skills[workers, self._categories]
+
+    def pair_skills(self) -> np.ndarray:
+        return self._skills
+
+    def pair_interests(self) -> np.ndarray:
+        return self._rows._interests[self._workers, self._categories]
+
+    def accuracy_matrix(self) -> np.ndarray:
+        return accuracy(self._skills, self._rows._difficulties[self._tasks])
+
+    def task_payments(self) -> np.ndarray:
+        return self._rows._payments[self._tasks]
+
+    def task_efforts(self) -> np.ndarray:
+        return self._rows._efforts[self._tasks]
+
+    def reservation_wages(self) -> np.ndarray:
+        return self._rows._reservation[self._workers]
 
 
 class RowwiseBenefit:
@@ -46,123 +84,55 @@ class RowwiseBenefit:
         worker_model: BenefitModel | None = None,
     ) -> None:
         self.market = market
-        self.combiner = combiner if combiner is not None else LinearCombiner(0.5)
-        self.requester_model = (
-            requester_model
-            if requester_model is not None
-            else QualityGainBenefit()
-        )
-        self.worker_model = (
-            worker_model if worker_model is not None else NetRewardBenefit()
-        )
-        # Entity arrays: O(n) once, every slice vectorizes over them.
+        self.combiner = combiner or LinearCombiner(0.5)
+        self.requester_model = requester_model or QualityGainBenefit()
+        self.worker_model = worker_model or NetRewardBenefit()
+        for model in (self.requester_model, self.worker_model):
+            if model.needs_whole_market:
+                raise ValidationError(
+                    f"{type(model).__name__} depends on the whole market; "
+                    "build the full matrices instead"
+                )
+        # Entity arrays: O(n) once, every slice gathers from them.
         self._skills = market.skill_matrix()
         self._interests = market.interest_matrix()
-        self._reservation = np.array(
-            [w.reservation_wage for w in market.workers], dtype=float
-        )
+        self._reservation = market.reservation_wages()
         self._categories = market.task_categories()
         self._difficulties = market.task_difficulties()
         self._payments = market.task_payments()
-        self._efforts = np.array(
-            [t.effort for t in market.tasks], dtype=float
-        )
-        self._fast = isinstance(
-            self.requester_model, QualityGainBenefit
-        ) and isinstance(self.worker_model, NetRewardBenefit) and isinstance(
-            self.worker_model.wage_model, (LinearEffortCost, FlatCost)
-        )
-
-    # -- slicing ---------------------------------------------------------
+        self._efforts = market.task_efforts()
 
     def row(
         self, worker_index: int, task_indices: Sequence[int] | np.ndarray
     ) -> np.ndarray:
         """Combined benefit of one worker against selected tasks."""
-        tasks = np.asarray(task_indices, dtype=np.int64)
-        if tasks.size == 0:
-            return np.zeros(0)
-        if not self._fast:
-            return self._subset_combined([worker_index], tasks)[0]
-        req, wrk = self.side_row(worker_index, tasks)
+        req, wrk = self.side_row(worker_index, task_indices)
         return self.combiner.edge_matrix(req, wrk)
 
     def column(
         self, task_index: int, worker_indices: Sequence[int] | np.ndarray
     ) -> np.ndarray:
         """Combined benefit of one task against selected workers."""
-        workers = np.asarray(worker_indices, dtype=np.int64)
-        if workers.size == 0:
-            return np.zeros(0)
-        if not self._fast:
-            return self._subset_combined(workers, [task_index])[:, 0]
-        cats = self._categories[task_index]
-        skills = self._skills[workers, cats]
-        accuracy = 0.5 + (skills - 0.5) * (
-            1.0 - self._difficulties[task_index]
+        selection = _Selection(
+            self, np.asarray(worker_indices, dtype=np.int64), task_index
         )
-        req = (
-            self.requester_model.value_scale
-            * self._payments[task_index]
-            * (accuracy - 0.5)
-            * 2.0
+        return self.combiner.edge_matrix(
+            self.requester_model.matrix(selection),
+            self.worker_model.matrix(selection),
         )
-        costs = self._wage_costs(skills, self._efforts[task_index])
-        shortfall = np.maximum(
-            self._reservation[workers] - self._payments[task_index], 0.0
-        )
-        wrk = self._payments[task_index] - costs - shortfall
-        wrk = wrk + (
-            self.worker_model.interest_weight * self._interests[workers, cats]
-        )
-        return self.combiner.edge_matrix(req, wrk)
 
     def side_row(
-        self, worker_index: int, task_indices: np.ndarray
+        self, worker_index: int, task_indices: Sequence[int] | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(requester, worker) benefit rows for selected tasks."""
-        tasks = np.asarray(task_indices, dtype=np.int64)
-        cats = self._categories[tasks]
-        skills = self._skills[worker_index, cats]
-        accuracy = 0.5 + (skills - 0.5) * (1.0 - self._difficulties[tasks])
-        req = (
-            self.requester_model.value_scale
-            * self._payments[tasks]
-            * (accuracy - 0.5)
-            * 2.0
+        selection = _Selection(
+            self, worker_index, np.asarray(task_indices, dtype=np.int64)
         )
-        costs = self._wage_costs(skills, self._efforts[tasks])
-        shortfall = np.maximum(
-            self._reservation[worker_index] - self._payments[tasks], 0.0
+        return (
+            self.requester_model.matrix(selection),
+            self.worker_model.matrix(selection),
         )
-        wrk = self._payments[tasks] - costs - shortfall
-        wrk = wrk + (
-            self.worker_model.interest_weight
-            * self._interests[worker_index, cats]
-        )
-        return req, wrk
 
     def edge(self, worker_index: int, task_index: int) -> float:
         """Combined benefit of one edge."""
         return float(self.row(worker_index, np.array([task_index]))[0])
-
-    # -- internals -------------------------------------------------------
-
-    def _wage_costs(self, skills, efforts) -> np.ndarray:
-        """Vectorized wage-model cost, matching the scalar formulas."""
-        model = self.worker_model.wage_model
-        if isinstance(model, LinearEffortCost):
-            return (
-                model.rate
-                * efforts
-                * (1.0 + model.skill_discount * (1.0 - skills))
-            )
-        # FlatCost (the only other fast-path model).
-        return np.full(np.shape(skills), model.amount)
-
-    def _subset_combined(self, worker_indices, task_indices) -> np.ndarray:
-        """Generic fallback: full matrices on the bounded submarket."""
-        sub = self.market.subset(list(worker_indices), list(task_indices))
-        req = self.requester_model.matrix(sub)
-        wrk = self.worker_model.matrix(sub)
-        return self.combiner.edge_matrix(req, wrk)

@@ -16,7 +16,7 @@ from repro.errors import ValidationError
 from repro.market.categories import CategoryTaxonomy
 from repro.market.requester import Requester
 from repro.market.task import Task
-from repro.market.worker import Worker
+from repro.market.worker import Worker, accuracy
 
 
 class LaborMarket:
@@ -129,6 +129,14 @@ class LaborMarket:
             return np.zeros((0, len(self.taxonomy)))
         return np.stack([w.interests for w in self.workers])
 
+    def pair_skills(self) -> np.ndarray:
+        """``(n_workers, n_tasks)`` skill of each worker in each task's category."""
+        return self.skill_matrix()[:, self.task_categories()]
+
+    def pair_interests(self) -> np.ndarray:
+        """``(n_workers, n_tasks)`` interest of each worker in each task's category."""
+        return self.interest_matrix()[:, self.task_categories()]
+
     def task_categories(self) -> np.ndarray:
         """``(n_tasks,)`` vector of category ids."""
         return np.array([t.category for t in self.tasks], dtype=int)
@@ -139,11 +147,17 @@ class LaborMarket:
     def task_payments(self) -> np.ndarray:
         return np.array([t.payment for t in self.tasks], dtype=float)
 
+    def task_efforts(self) -> np.ndarray:
+        return np.array([t.effort for t in self.tasks], dtype=float)
+
     def task_replications(self) -> np.ndarray:
         return np.array([t.replication for t in self.tasks], dtype=int)
 
     def worker_capacities(self) -> np.ndarray:
         return np.array([w.capacity for w in self.workers], dtype=int)
+
+    def reservation_wages(self) -> np.ndarray:
+        return np.array([w.reservation_wage for w in self.workers], dtype=float)
 
     def accuracy_matrix(self) -> np.ndarray:
         """``(n_workers, n_tasks)`` probability worker i answers task j
@@ -152,11 +166,7 @@ class LaborMarket:
         This is the quantity both the benefit models and the answer
         simulator are built on, computed once and vectorized.
         """
-        if not self.workers or not self.tasks:
-            return np.zeros((self.n_workers, self.n_tasks))
-        skills = self.skill_matrix()[:, self.task_categories()]
-        damp = 1.0 - self.task_difficulties()[np.newaxis, :]
-        return 0.5 + (skills - 0.5) * damp
+        return accuracy(self.pair_skills(), self.task_difficulties())
 
     # -- mutation used by the simulator ---------------------------------------
 

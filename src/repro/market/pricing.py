@@ -30,7 +30,8 @@ from repro.crowd.quality import knowledge_coverage_quality
 from repro.errors import ValidationError
 from repro.market.market import LaborMarket
 from repro.market.task import Task
-from repro.market.wage import WageModel
+from repro.market.wage import LinearEffortCost, WageModel
+from repro.market.worker import accuracy
 
 
 @dataclass(frozen=True)
@@ -59,19 +60,13 @@ def willingness_prices(
     Non-monetary interest is deliberately ignored here — pricing is
     done against the cautious, money-only worker.
     """
-    # Imported here, not at module top: repro.benefit imports the
-    # market package, so a top-level import would be circular.
-    from repro.benefit.worker_benefit import NetRewardBenefit
-
-    model = NetRewardBenefit(wage_model=wage_model, interest_weight=0.0)
-    prices = []
-    for worker in market.workers:
-        if not worker.active:
-            prices.append(np.inf)
-            continue
-        cost = model.wage_model.cost(worker, task)
-        prices.append(max(cost, (cost + worker.reservation_wage) / 2.0))
-    return np.array(prices)
+    wage_model = wage_model or LinearEffortCost()
+    cost = wage_model.cost(
+        market.skill_matrix()[:, task.category], task.effort
+    )
+    prices = np.maximum(cost, (cost + market.reservation_wages()) / 2.0)
+    active = np.array([w.active for w in market.workers], dtype=bool)
+    return np.where(active, prices, np.inf)
 
 
 def evaluate_payment(
@@ -86,14 +81,9 @@ def evaluate_payment(
         raise ValidationError(f"payment must be >= 0, got {payment}")
     prices = willingness_prices(market, task, wage_model)
     willing = np.nonzero(prices < payment)[0]
-    accuracy = np.array(
-        [
-            market.workers[i].accuracy_on(task.category, task.difficulty)
-            for i in willing
-        ]
-    )
+    skills = market.skill_matrix()[willing, task.category]
     # The platform assigns the best `replication` willing workers.
-    committee = np.sort(accuracy)[::-1][: task.replication]
+    committee = np.sort(accuracy(skills, task.difficulty))[::-1][: task.replication]
     quality = knowledge_coverage_quality(list(committee))
     fills = len(committee)
     surplus = value_per_quality * quality - payment * fills

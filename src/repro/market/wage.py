@@ -7,14 +7,21 @@ The worker-side benefit of an edge (w, t) is::
 This module supplies the ``cost`` part.  Different markets price effort
 differently (micro-task platforms pay cents for seconds of work;
 freelance markets pay for hours), so cost is a pluggable strategy.
+
+Broadcasting contract: :meth:`WageModel.cost` takes skills (in the
+task's category) and task efforts as scalars or mutually broadcastable
+arrays — e.g. an ``(n_workers, n_tasks)`` skill matrix and an
+``(n_tasks,)`` effort vector — and returns the elementwise cost in the
+broadcast shape.  Full matrices and streaming slices call this one
+method, so they agree bit for bit; callers never write into its result.
 """
 
 from __future__ import annotations
 
 import abc
 
-from repro.market.task import Task
-from repro.market.worker import Worker
+import numpy as np
+
 from repro.utils.validation import check_nonnegative
 
 
@@ -22,8 +29,8 @@ class WageModel(abc.ABC):
     """Strategy interface converting task effort into worker cost."""
 
     @abc.abstractmethod
-    def cost(self, worker: Worker, task: Task) -> float:
-        """Monetary-equivalent cost for ``worker`` to complete ``task``."""
+    def cost(self, skill, effort):
+        """Monetary-equivalent cost of each (skill, effort) pair."""
 
 
 class LinearEffortCost(WageModel):
@@ -40,9 +47,8 @@ class LinearEffortCost(WageModel):
         self.rate = check_nonnegative("rate", rate)
         self.skill_discount = check_nonnegative("skill_discount", skill_discount)
 
-    def cost(self, worker: Worker, task: Task) -> float:
-        skill = worker.skill_for(task.category)
-        return self.rate * task.effort * (1.0 + self.skill_discount * (1.0 - skill))
+    def cost(self, skill, effort):
+        return self.rate * effort * (1.0 + self.skill_discount * (1.0 - skill))
 
 
 class FlatCost(WageModel):
@@ -51,5 +57,5 @@ class FlatCost(WageModel):
     def __init__(self, amount: float = 0.1) -> None:
         self.amount = check_nonnegative("amount", amount)
 
-    def cost(self, worker: Worker, task: Task) -> float:
-        return self.amount
+    def cost(self, skill, effort):
+        return np.full(np.broadcast(skill, effort).shape, self.amount)

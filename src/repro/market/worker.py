@@ -9,6 +9,17 @@ import numpy as np
 from repro.errors import ValidationError
 
 
+def accuracy(skill, difficulty):
+    """Probability of answering a task correctly, elementwise.
+
+    Difficulty ``d`` scales the distance of a skill above random
+    guessing: 0 leaves skill untouched, 1 reduces everyone to a coin
+    flip.  The answer simulator and the benefit models all read this
+    one formula, so quality estimates and simulated outcomes agree.
+    """
+    return 0.5 + (skill - 0.5) * (1.0 - difficulty)
+
+
 @dataclass
 class Worker:
     """A crowd worker.
@@ -83,21 +94,12 @@ class Worker:
         return float(self.skills[category])
 
     def accuracy_on(self, category: int, difficulty: float) -> float:
-        """Probability of answering a task correctly.
-
-        A task of difficulty ``d`` scales the distance of the worker's
-        skill above random guessing: ``0.5 + (skill - 0.5) * (1 - d)``
-        for binary tasks.  Difficulty 0 leaves skill untouched;
-        difficulty 1 reduces everyone to a coin flip.  The same model is
-        used by the answer simulator, so assignment-time quality
-        estimates and simulated outcomes agree by construction.
-        """
+        """Probability of answering a task correctly (see :func:`accuracy`)."""
         if not 0.0 <= difficulty <= 1.0:
             raise ValidationError(
                 f"difficulty must lie in [0, 1], got {difficulty}"
             )
-        skill = self.skill_for(category)
-        return 0.5 + (skill - 0.5) * (1.0 - difficulty)
+        return accuracy(self.skill_for(category), difficulty)
 
     def __repr__(self) -> str:
         return (
