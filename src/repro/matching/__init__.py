@@ -5,7 +5,7 @@ solvers are built on:
 
 * :mod:`graph` — a residual flow network;
 * :mod:`mincost_flow` — successive-shortest-path min-cost max-flow with
-  Johnson potentials (the workhorse behind the flow-optimal solver);
+  Johnson potentials on an explicit residual network;
 * :mod:`hungarian` — the O(n³) Hungarian algorithm for square
   assignment (independent implementation used to cross-validate flow);
 * :mod:`hopcroft_karp` — maximum-cardinality bipartite matching;
@@ -14,7 +14,10 @@ solvers are built on:
   (Gauss-Seidel) and batched (Jacobi) bidding modes;
 * :mod:`reference` — scalar-loop reference implementations the
   vectorized hot paths are cross-validated and benchmarked against;
-* :mod:`b_matching` — capacitated maximum-weight b-matching via flow;
+* :mod:`b_matching` — capacitated maximum-weight b-matching: an
+  array-native successive-shortest-path kernel (the workhorse behind
+  the flow-optimal solver), validated against the explicit-network
+  reduction to :mod:`mincost_flow` kept in :mod:`reference`;
 * :mod:`online` — online bipartite matching: greedy, Ranking, and a
   two-phase sample-then-match algorithm.
 """
@@ -30,12 +33,13 @@ from repro.matching.online import (
     ranking_matching,
     two_phase_matching,
 )
-from repro.matching.reference import hungarian_reference
+from repro.matching.reference import b_matching_reference, hungarian_reference
 
 __all__ = [
     "FlowNetwork",
     "MinCostFlowResult",
     "auction_assignment",
+    "b_matching_reference",
     "hopcroft_karp",
     "hungarian",
     "hungarian_reference",

@@ -1,13 +1,15 @@
 """Pure-Python reference implementations of the vectorized solvers.
 
 The hot-path modules (:mod:`repro.matching.hungarian`, the Jacobi mode
-of :mod:`repro.matching.auction`) are written with numpy masked
-reductions for speed.  Vectorized code is easy to get subtly wrong —
-an off-by-one in a mask or a tie broken by a different index is
-invisible until an instance hits it — so the original scalar loops
-live on here, unchanged, as the ground truth the fast paths are
-cross-validated against (see ``tests/test_matching_vectorized.py``)
-and as the readable exposition of each algorithm.
+of :mod:`repro.matching.auction`, :mod:`repro.matching.b_matching`) are
+written with numpy masked reductions for speed.  Vectorized code is
+easy to get subtly wrong — an off-by-one in a mask or a tie broken by
+a different index is invisible until an instance hits it — so the
+original loop-shaped code lives on here, unchanged, as the ground
+truth the fast paths are cross-validated against (see
+``tests/test_matching_vectorized.py`` and
+``tests/test_matching_b_matching.py``) and as the readable exposition
+of each algorithm.
 
 These functions are *reference* code: clarity beats speed, and the
 per-element Python loops are exempt from lint rule R601 via the
@@ -23,6 +25,10 @@ import math
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.matching.b_matching import validate_b_matching_inputs
+from repro.matching.graph import FlowNetwork
+from repro.matching.mincost_flow import min_cost_flow
+from repro.utils.stats import edge_matrix_sum
 
 
 def hungarian_reference(cost: np.ndarray) -> tuple[list[int], float]:
@@ -95,3 +101,59 @@ def hungarian_reference(cost: np.ndarray) -> tuple[list[int], float]:
             assignment[p[j] - 1] = j - 1
     total = float(sum(cost[i, assignment[i]] for i in range(n)))
     return assignment, total
+
+
+def b_matching_reference(
+    weights: np.ndarray,
+    row_capacities: np.ndarray,
+    col_capacities: np.ndarray,
+) -> tuple[list[tuple[int, int]], float]:
+    """Explicit-network max-weight b-matching; contract of
+    :func:`repro.matching.b_matching.max_weight_b_matching`.
+
+    Builds the source → workers → tasks → sink :class:`FlowNetwork`
+    (one arc per positive-weight edge) and runs
+    :func:`repro.matching.mincost_flow.min_cost_flow` with the
+    stop-when-nonimproving rule.
+    """
+    weights, row_capacities, col_capacities = validate_b_matching_inputs(
+        weights, row_capacities, col_capacities
+    )
+    n, m = weights.shape
+
+    source = 0
+    worker_base = 1
+    task_base = 1 + n
+    sink = 1 + n + m
+    network = FlowNetwork(n + m + 2)
+    for i in range(n):
+        if row_capacities[i] > 0:
+            network.add_edge(source, worker_base + i, float(row_capacities[i]))
+    for j in range(m):
+        if col_capacities[j] > 0:
+            network.add_edge(task_base + j, sink, float(col_capacities[j]))
+    edge_arcs: dict[int, tuple[int, int]] = {}
+    for i in range(n):
+        if row_capacities[i] == 0:
+            continue
+        for j in range(m):
+            if col_capacities[j] == 0:
+                continue
+            w = weights[i, j]
+            if w > 0:
+                arc = network.add_edge(
+                    worker_base + i, task_base + j, 1.0, -float(w)
+                )
+                edge_arcs[arc] = (i, j)
+
+    result = min_cost_flow(
+        network, source, sink, stop_when_nonimproving=True
+    )
+    edges = [
+        edge_arcs[arc]
+        for arc, amount in result.arc_flow.items()
+        if arc in edge_arcs and amount > 0.5
+    ]
+    edges.sort()
+    total = edge_matrix_sum(weights, edges)
+    return edges, total

@@ -6,7 +6,8 @@ micro-level tier:
 * ``f7_scale_workers`` — |W| grows with |T| fixed (Figure 7 shape):
   the Hungarian solve on market-derived benefit matrices, vectorized
   against :func:`repro.matching.reference.hungarian_reference`, and
-  the end-to-end flow-solver pipeline.
+  the end-to-end flow-solver pipeline, cross-checked against
+  :func:`repro.matching.reference.b_matching_reference`.
 * ``f8_scale_tasks`` — |T| grows (Figure 8 shape): the auction solve
   in batched Jacobi mode against the sequential Gauss-Seidel mode on
   *specialist* square instances (each bidder strongly prefers its own
@@ -73,7 +74,7 @@ from repro.datagen.synthetic import SyntheticConfig, generate_market
 from repro.errors import ValidationError
 from repro.matching.auction import auction_assignment
 from repro.matching.hungarian import hungarian
-from repro.matching.reference import hungarian_reference
+from repro.matching.reference import b_matching_reference, hungarian_reference
 from repro.utils.rng import as_rng
 
 SUITES = (
@@ -280,7 +281,12 @@ def _auction_case(size: int, suite: str) -> BenchCase:
 
 
 def _pipeline_case(
-    solver_name: str, n_workers: int, n_tasks: int, size: int, suite: str
+    solver_name: str,
+    n_workers: int,
+    n_tasks: int,
+    size: int,
+    suite: str,
+    reference: Callable[[MBAProblem], float] | None = None,
 ) -> BenchCase:
     def runner(repeats: int) -> Measurement:
         market = generate_market(
@@ -293,7 +299,10 @@ def _pipeline_case(
         wall, total = _best_of(
             lambda: solver.solve(problem, seed=0).combined_total(), 1
         )
-        return Measurement(wall, None, total, None)
+        if reference is None:
+            return Measurement(wall, None, total, None)
+        ref_wall, ref_total = _best_of(lambda: reference(problem), 1)
+        return Measurement(wall, ref_wall, total, ref_total)
 
     return BenchCase(
         name=f"{solver_name}/n={size}",
@@ -302,6 +311,16 @@ def _pipeline_case(
         solver=solver_name,
         runner=runner,
     )
+
+
+def _flow_reference_total(problem: MBAProblem) -> float:
+    """The flow solver's optimum from the explicit-network min-cost-flow
+    reduction."""
+    return b_matching_reference(
+        problem.benefits.combined,
+        problem.worker_capacities(),
+        problem.task_capacities(),
+    )[1]
 
 
 def _answers_case(n_workers: int, n_tasks: int) -> BenchCase:
@@ -743,14 +762,26 @@ def build_suites(
         for s in (_QUICK_SIZES if quick else _FULL_SIZES)
     ]
     largest = max(sizes)
-    # The flow pipeline is O(n) augmentations over an O(n·m)-edge
-    # residual graph — minutes at kernel sizes — so it scales on a
-    # quarter-size ladder that keeps the whole suite under a minute.
+    # Flow cases run on a quarter-size ladder because each is also
+    # timed against ``b_matching_reference``: on a 2-vCPU host that
+    # reference took 0.4 / 1.8 / 7.4 s at |W| = 50 / 100 / 200 and
+    # |T| = 200, against 0.04 / 0.11 / 0.37 s for the flow solver.
+    # At full size the array kernel alone took 1.1 / 6.7 / 42 s
+    # (|W| = 200 / 400 / 800, |T| = 800), about one search per
+    # augmentation over most of the n·m edges, which would dominate
+    # the suite even without the reference.
     flow_sizes = [max(10, size // 4) for size in sizes]
     edge_count = 2_500 if quick else 50_000
     f7 = [_hungarian_case(size, largest, "f7_scale_workers") for size in sizes]
     f7 += [
-        _pipeline_case("flow", size, max(flow_sizes), size, "f7_scale_workers")
+        _pipeline_case(
+            "flow",
+            size,
+            max(flow_sizes),
+            size,
+            "f7_scale_workers",
+            reference=_flow_reference_total,
+        )
         for size in flow_sizes
     ]
     f8 = [_auction_case(size, "f8_scale_tasks") for size in sizes]
