@@ -13,7 +13,8 @@ Four commands cover the operational surface a platform engineer needs:
 Plus operational commands: ``sweep`` (spec-lattice sweeps under the
 supervised pool with ``--checkpoint``/``--resume`` durability and
 chaos injection), ``compare`` (solver comparison with CIs),
-``events`` (continuous-time simulation), ``lint`` (static analysis),
+``events`` (a market file through the online dispatcher), ``lint``
+(static analysis),
 ``spec`` (scenario spec files: ``check`` validates them without
 building a market, ``expand`` enumerates their ``[axes]`` lattice,
 ``schema`` prints the knob catalogue; see ``docs/scenarios.md``),
@@ -262,23 +263,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_register_arguments(compare)
 
+    from repro.stream import ONLINE_POLICIES, DispatchConfig
+
     events = commands.add_parser(
-        "events", help="run the event-driven continuous-time simulation"
+        "events",
+        help="stream a market file through the online dispatcher: each "
+        "task and worker arrives once, at Poisson rates",
     )
     events.add_argument("market", help="market JSON path")
-    events.add_argument("--horizon", type=float, default=100.0)
-    events.add_argument("--task-rate", type=float, default=1.0)
-    events.add_argument("--worker-rate", type=float, default=1.0)
-    events.add_argument("--deadline", type=float, default=10.0)
-    events.add_argument("--session", type=float, default=5.0)
     events.add_argument(
-        "--policy", default="greedy", choices=("greedy", "threshold")
+        "--task-rate", type=float, default=DispatchConfig.task_rate
+    )
+    events.add_argument(
+        "--worker-rate", type=float, default=DispatchConfig.worker_rate
+    )
+    events.add_argument(
+        "--deadline", type=float, default=DispatchConfig.deadline
+    )
+    events.add_argument(
+        "--session", type=float, default=DispatchConfig.session_length
+    )
+    events.add_argument(
+        "--policy", default=DispatchConfig.policy, choices=ONLINE_POLICIES
     )
     events.add_argument("--seed", type=int, default=0)
     events.add_argument(
         "--trace", metavar="PATH",
-        help="record spans and counters during the event simulation "
-        "and export them to PATH as JSONL",
+        help="record spans and counters during the dispatch run and "
+        "export them to PATH as JSONL",
     )
     _add_register_arguments(events)
 
@@ -965,34 +977,35 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_events(args: argparse.Namespace) -> int:
-    from repro.sim.events import EventSimConfig, EventSimulation
+    from repro.stream import DispatchConfig, StreamDispatcher
 
     market = load_market(args.market)
-    config = EventSimConfig(
-        horizon=args.horizon,
+    config = DispatchConfig(
+        policy=args.policy,
         task_rate=args.task_rate,
         worker_rate=args.worker_rate,
         deadline=args.deadline,
         session_length=args.session,
-        policy=args.policy,
     )
+    dispatcher = StreamDispatcher(market, config)
     if args.trace:
         with obs.tracing() as tracer:
             with obs.span("events", policy=args.policy):
-                result = EventSimulation(market, config).run(seed=args.seed)
+                result = dispatcher.run(seed=args.seed)
         _finish_trace(
             tracer, args, tag="events",
             scenario=f"{args.policy}:{args.market}",
         )
     else:
-        result = EventSimulation(market, config).run(seed=args.seed)
+        result = dispatcher.run(seed=args.seed)
+    mean_wait = result.latency_summary().get("mean", float("nan"))
     print(
-        f"posted {result.posted_tasks} | filled {len(result.assignments)} "
+        f"posted {result.posted_tasks} | filled {result.assignments} "
         f"({100 * result.fill_rate:.1f}%) | expired {result.expired_tasks}"
     )
     print(
         f"combined benefit {result.combined_benefit:.3f} | mean wait "
-        f"{result.mean_waiting_time:.2f}"
+        f"{mean_wait:.2f}"
     )
     return 0
 

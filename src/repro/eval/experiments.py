@@ -844,54 +844,57 @@ def figure19_stable(scale: float = 1.0, seed: int = 0) -> Table:
 
 
 # ---------------------------------------------------------------------------
-# F20 — continuous-time load sweep (event-driven simulator)
+# F20 — continuous-time load sweep (streaming dispatcher)
 # ---------------------------------------------------------------------------
 
 def figure20_load(scale: float = 1.0, seed: int = 0) -> Table:
     """F20: fill rate and per-assignment benefit vs supply/demand ratio.
 
-    The event-driven simulator posts tasks and logs workers in at
+    The streaming dispatcher posts tasks and logs workers in at
     Poisson rates; sweeping the worker rate against a fixed task rate
-    traces the under- to over-supplied regimes, for both dispatch
-    policies.
+    traces the under- to over-supplied regimes, for the greedy and
+    sample-price policies.  Every entity arrives exactly once, so each
+    ratio gets its own market sized to the rates: ``rate × H`` tasks
+    and workers for a nominal horizon ``H``.
     """
-    from repro.sim.events import EventSimConfig, EventSimulation
+    from repro.stream import DispatchConfig, StreamDispatcher
 
     table = Table(
         "Figure 20: continuous-time load sweep (fill rate / mean benefit)",
-        ["supply ratio", "greedy fill", "threshold fill",
-         "greedy mean benefit", "threshold mean benefit"],
+        ["supply ratio", "greedy fill", "sample-price fill",
+         "greedy mean benefit", "sample-price mean benefit"],
     )
-    market = generate_market(
-        SyntheticConfig(
-            n_workers=_scaled(60, scale), n_tasks=_scaled(30, scale)
-        ),
-        seed=seed,
-    )
+    task_rate = 2.0
     horizon = 120.0 * min(scale, 1.0) + 30.0
     for ratio in (0.25, 0.5, 1.0, 2.0, 4.0):
+        worker_rate = task_rate * ratio
+        market = generate_market(
+            SyntheticConfig(
+                n_workers=round(worker_rate * horizon),
+                n_tasks=round(task_rate * horizon),
+            ),
+            seed=seed,
+        )
         fills = {}
         means = {}
-        for policy in ("greedy", "threshold"):
-            config = EventSimConfig(
-                horizon=horizon,
-                task_rate=2.0,
-                worker_rate=2.0 * ratio,
+        for policy in ("greedy", "sample-price"):
+            config = DispatchConfig(
+                policy=policy,
+                task_rate=task_rate,
+                worker_rate=worker_rate,
                 deadline=8.0,
                 session_length=4.0,
-                policy=policy,
-                threshold_start=0.5,
             )
-            result = EventSimulation(market, config).run(seed=seed + 3)
+            result = StreamDispatcher(market, config).run(seed=seed + 3)
             fills[policy] = result.fill_rate
             means[policy] = (
-                result.combined_benefit / len(result.assignments)
+                result.combined_benefit / result.assignments
                 if result.assignments
                 else float("nan")
             )
         table.add_row(
-            ratio, fills["greedy"], fills["threshold"],
-            means["greedy"], means["threshold"],
+            ratio, fills["greedy"], fills["sample-price"],
+            means["greedy"], means["sample-price"],
         )
     return table
 

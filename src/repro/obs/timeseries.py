@@ -53,7 +53,7 @@ def exact_percentile(sorted_values: list[float], q: float) -> float:
     """Linear-interpolated percentile of an ascending sample list.
 
     Matches ``numpy.percentile``'s default (linear) method exactly so
-    the stream reservoir and the windowed store agree bit-for-bit;
+    the stream latency summary and the windowed store agree bit-for-bit;
     implemented locally because ``repro.obs`` sits below the layers
     that are allowed to assume numpy-heavy call sites.
     """

@@ -15,14 +15,10 @@ Long-run metrics (experiments T4/F5) come out of this loop.
 """
 
 from repro.sim.engine import Simulation
-from repro.sim.events import EventSimConfig, EventSimResult, EventSimulation
 from repro.sim.metrics import RoundMetrics, SimulationResult
 from repro.sim.scenario import Scenario
 
 __all__ = [
-    "EventSimConfig",
-    "EventSimResult",
-    "EventSimulation",
     "RoundMetrics",
     "Scenario",
     "Simulation",

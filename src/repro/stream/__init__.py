@@ -29,11 +29,7 @@ from repro.stream.events import (
     WorkerLogin,
     WorkerLogout,
 )
-from repro.stream.metrics import (
-    AssignmentRecord,
-    LatencyReservoir,
-    StreamResult,
-)
+from repro.stream.metrics import AssignmentRecord, StreamResult
 from repro.stream.policies import (
     ONLINE_POLICIES,
     DispatchPolicy,
@@ -56,7 +52,6 @@ __all__ = [
     "DispatchRuntime",
     "EventBus",
     "GreedyPolicy",
-    "LatencyReservoir",
     "MicroBatchPolicy",
     "SamplePricePolicy",
     "SessionGrant",

@@ -32,7 +32,7 @@ import heapq
 import itertools
 import time as _time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,13 +201,6 @@ class DispatchRuntime:
                 posted_at=posted_at,
             )
         )
-
-
-@dataclass
-class _Pending:
-    """Records emitted by handlers, drained by the generator loop."""
-
-    records: list[AssignmentRecord] = field(default_factory=list)
 
 
 class _Telemetry:
@@ -420,7 +413,8 @@ class StreamDispatcher:
         policy = make_policy(config, self.market.n_workers)
         result = StreamResult(policy=config.policy)
         self.last_result = result
-        pending = _Pending()
+        # Records emitted by handlers, drained by the generator loop.
+        pending: list[AssignmentRecord] = []
 
         # Live telemetry rides the active tracer's windowed store
         # (created here at the default window width unless the run
@@ -461,19 +455,17 @@ class StreamDispatcher:
             )
 
         def worker_event(arrival) -> WorkerLogin:
-            session_id = -1  # assigned by the login handler
+            # The login handler opens the session and assigns its id.
             return WorkerLogin(
                 time=arrival.time,
                 worker_index=arrival.index,
-                session_id=session_id,
+                session_id=-1,
             )
 
         pull(task_stream, task_event)
         pull(worker_stream, worker_event)
         if config.policy == "micro-batch":
             push(WindowFlush(time=config.batch_window, window_index=0))
-
-        dropped_sessions: set[int] = set()
 
         def handle(event: StreamEvent) -> None:
             if isinstance(event, TaskPosted):
@@ -524,9 +516,8 @@ class StreamDispatcher:
                     del runtime.open[event.instance_id]
                     bus.publish(event)
             elif isinstance(event, WorkerLogout):
-                if event.session_id not in dropped_sessions:
-                    runtime.ledger.logout(event.session_id)
-                    bus.publish(event)
+                runtime.ledger.logout(event.session_id)
+                bus.publish(event)
             elif isinstance(event, WindowFlush):
                 # Keep flushing only while arrivals can still come.
                 bus.publish(event)
@@ -544,14 +535,14 @@ class StreamDispatcher:
             if telemetry is not None and clock >= telemetry.boundary:
                 telemetry.advance(clock, runtime)
             handle(event)
-            if pending.records:
-                yield from pending.records
-                pending.records.clear()
+            if pending:
+                yield from pending
+                pending.clear()
 
         policy.finish(clock)
-        if pending.records:
-            yield from pending.records
-            pending.records.clear()
+        if pending:
+            yield from pending
+            pending.clear()
         # Flat obs counters are recorded once from the run totals:
         # a counter call per event is measurable on the dispatch hot
         # path (the obs_overhead bench case gates the ratio), and the
@@ -582,7 +573,7 @@ class StreamDispatcher:
         bus: EventBus,
         runtime: DispatchRuntime,
         result: StreamResult,
-        pending: _Pending,
+        pending: list[AssignmentRecord],
         telemetry: _Telemetry | None = None,
     ) -> None:
         # Bound-method handles into the telemetry buffers: the per-event
@@ -625,8 +616,7 @@ class StreamDispatcher:
             )
             result.records.append(record)
             result.combined_benefit += event.benefit
-            result.latency.observe(event.wait)
-            pending.records.append(record)
+            pending.append(record)
             if scrape_assignment is not None:
                 scrape_assignment(
                     (event.worker_index, event.benefit, event.wait)

@@ -2,10 +2,9 @@
 
 Every event is a small frozen dataclass with a class-level ``kind``
 string — the bus routes on ``kind``, handlers read the typed fields.
-The same vocabulary serves both the continuous dispatcher
-(:mod:`repro.stream.dispatch`) and the discrete-event simulator
-(:mod:`repro.sim.events`), which publishes these events instead of
-branching on raw heap tuples.
+The continuous dispatcher (:mod:`repro.stream.dispatch`) pops its
+event heap and publishes each event here; policies and bookkeeping
+subscribe to them.
 
 Time semantics: ``time`` is simulated market time (the arrival
 process's clock), never wall-clock time.
@@ -30,10 +29,8 @@ class StreamEvent:
 class TaskPosted(StreamEvent):
     """A task instance entered the open pool.
 
-    ``instance_id`` distinguishes repeated postings of the same task
-    index (the discrete-event simulator samples with replacement); the
-    continuous dispatcher posts each task exactly once and uses the
-    task index itself as the instance id.
+    The dispatcher posts each task exactly once and uses the task
+    index itself as the instance id.
     """
 
     kind: ClassVar[str] = "task-posted"

@@ -1,16 +1,12 @@
 """Backpressure and latency metrics for the streaming dispatcher.
 
-Two layers of observability, deliberately redundant:
-
-* **obs** — the dispatcher publishes ``stream.*`` counters, gauges,
-  and histograms through :mod:`repro.obs` so traced runs carry the
-  queueing story in the standard trace/report format (and the bench
-  harness ships them inside ``BENCH_*.json``).
-* **StreamResult** — an in-process summary with *exact* latency
-  percentiles.  The obs histogram summary only tracks
-  count/total/min/max (by design — it is O(1) per observation); the
-  dispatcher therefore keeps the raw time-to-assignment samples here
-  and publishes p50/p95/p99 as obs *gauges* at run end.
+The dispatcher publishes ``stream.*`` counters, gauges, and histograms
+through :mod:`repro.obs` so traced runs carry the queueing story in
+the standard trace/report format.  The obs histogram summary only
+tracks count/total/min/max (by design — it is O(1) per observation),
+so exact latency percentiles come from :class:`StreamResult`, whose
+records hold every time-to-assignment; the dispatcher publishes
+p50/p95/p99 from there as obs *gauges* at run end.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ValidationError
 from repro.obs.timeseries import exact_percentile
 
 #: Percentiles published as ``stream.latency.p*`` gauges.
@@ -46,81 +41,6 @@ class AssignmentRecord:
         }
 
 
-class LatencyReservoir:
-    """Exact latency sample store with percentile queries.
-
-    Unbounded by default: one float per assignment, which the
-    population size bounds in turn — at the 10^5-entity bench scale
-    that is under a megabyte, far cheaper than getting approximate
-    quantiles wrong.  A ``capacity`` turns it into a ring over the most
-    recent samples for callers that want a sliding view; queries after
-    wraparound cover exactly the last ``capacity`` observations,
-    never the evicted ones.
-
-    Percentiles interpolate linearly via
-    :func:`repro.obs.timeseries.exact_percentile` — the same
-    arithmetic as the windowed store's ``pNN`` aggregates and
-    ``numpy.percentile``'s default method — so p95/p99 are exact even
-    with a handful of samples (no index truncation: 19 samples put
-    p95 between the two largest, not *at* either), and the SLO gauges
-    published from here are bit-identical across identical seeds.
-    """
-
-    def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None:
-            capacity = int(capacity)
-            if capacity < 1:
-                raise ValidationError(
-                    f"reservoir capacity must be >= 1 sample, got "
-                    f"{capacity}"
-                )
-        self.capacity = capacity
-        #: Total observations ever made (retained or evicted).
-        self.observed = 0
-        self._samples: list[float] = []
-        self._cursor = 0  # oldest slot, once the ring is full
-
-    def observe(self, value: float) -> None:
-        self.observed += 1
-        if (
-            self.capacity is None
-            or len(self._samples) < self.capacity
-        ):
-            self._samples.append(float(value))
-        else:
-            self._samples[self._cursor] = float(value)
-            self._cursor = (self._cursor + 1) % self.capacity
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0..100) of the retained samples;
-        NaN with no samples."""
-        if not self._samples:
-            if not 0.0 <= q <= 100.0:
-                raise ValidationError(
-                    f"percentile must lie in [0, 100], got {q}"
-                )
-            return float("nan")
-        return exact_percentile(sorted(self._samples), q)
-
-    def summary(self) -> dict[str, float]:
-        """count/mean/max plus the standard percentile ladder."""
-        if not self._samples:
-            return {"count": 0.0}
-        values = np.asarray(self._samples)
-        ordered = sorted(self._samples)
-        out = {
-            "count": float(values.size),
-            "mean": float(values.mean()),
-            "max": float(ordered[-1]),
-        }
-        for q in LATENCY_PERCENTILES:
-            out[f"p{q}"] = exact_percentile(ordered, q)
-        return out
-
-
 @dataclass
 class StreamResult:
     """Aggregate outcome of one streaming dispatch run."""
@@ -139,7 +59,6 @@ class StreamResult:
     end_time: float = 0.0
     #: Wall-clock seconds the dispatch loop took (set by ``run``).
     wall_time: float = 0.0
-    latency: LatencyReservoir = field(default_factory=LatencyReservoir)
     #: Round-mode only: the delegated engine's full result, kept so
     #: bit-identity against a direct engine run is checkable.
     round_result: object | None = None
@@ -163,4 +82,22 @@ class StreamResult:
         return len(self.records) / self.wall_time
 
     def latency_summary(self) -> dict[str, float]:
-        return self.latency.summary()
+        """count/mean/max of the records' waits plus the percentile
+        ladder of :data:`LATENCY_PERCENTILES`.
+
+        Percentiles interpolate linearly via
+        :func:`repro.obs.timeseries.exact_percentile` (numpy's default
+        method), so small samples get exact p95/p99 rather than the max.
+        """
+        if not self.records:
+            return {"count": 0.0}
+        waits = [record.wait for record in self.records]
+        ordered = sorted(waits)
+        out = {
+            "count": float(len(waits)),
+            "mean": float(np.mean(waits)),
+            "max": float(ordered[-1]),
+        }
+        for q in LATENCY_PERCENTILES:
+            out[f"p{q}"] = exact_percentile(ordered, q)
+        return out

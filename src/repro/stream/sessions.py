@@ -5,8 +5,10 @@ when sessions overlap — a worker logs in again before a prior logout
 fires — each logout must withdraw only the remaining capacity of its
 own session.  The previous accounting (a flat ``worker -> capacity``
 dict whose logout did ``pop(worker)``) destroyed the second session's
-grant at the first logout; this ledger is the fix, shared by the
-discrete-event simulator and the streaming dispatcher.
+grant at the first logout; this ledger is the fix.  The streaming
+dispatcher logs each worker in once per arrival, and every arrival
+process yields each worker exactly once, so its sessions never
+overlap today.
 
 Consumption order is earliest-expiring-first: using up the grant that
 dies soonest preserves the most future capacity, and makes the ledger

@@ -231,8 +231,7 @@ class TestEvents:
             "--workers", "15", "--tasks", "8",
         ])
         code = main([
-            "events", str(path), "--horizon", "20",
-            "--policy", "threshold",
+            "events", str(path), "--policy", "sample-price",
         ])
         assert code == 0
         out = capsys.readouterr().out

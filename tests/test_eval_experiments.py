@@ -99,3 +99,14 @@ class TestQualitativeClaims:
         table = run_experiment("F14", scale=SCALE, seed=8)
         gaps = dict(zip(table.column("combiner"), table.column("side gap")))
         assert gaps["egalitarian"] <= gaps["linear(0.5)"] + 0.25
+
+    def test_f20_fill_rises_with_supply(self):
+        table = run_experiment("F20", scale=SCALE, seed=9)
+        ratios = table.column("supply ratio")
+        assert ratios[0] == 0.25
+        for policy in ("greedy", "sample-price"):
+            fills = table.column(f"{policy} fill")
+            # Under-supplied fill is below every balanced-or-better one.
+            for ratio, fill in zip(ratios, fills):
+                if ratio >= 1.0:
+                    assert fills[0] < fill, (policy, ratio)

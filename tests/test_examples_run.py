@@ -23,7 +23,7 @@ EXPECTED_SNIPPETS = {
     "online_arrival.py": "random-order model",
     "benefit_tradeoff.py": "coverage objective",
     "skill_learning.py": "truth",
-    "continuous_dispatch.py": "threshold policy",
+    "continuous_dispatch.py": "best online worker",
     "assignment_report.py": "budgeted solver",
 }
 

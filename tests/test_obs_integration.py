@@ -398,8 +398,7 @@ class TestTracedCompareAndEvents:
         trace_path = tmp_path / "ev.jsonl"
         reg = tmp_path / "reg"
         assert main(
-            ["events", str(market), "--horizon", "20",
-             "--trace", str(trace_path),
+            ["events", str(market), "--trace", str(trace_path),
              "--register", "--registry", str(reg)]
         ) == 0
         out = capsys.readouterr().out

@@ -23,12 +23,12 @@ class TestExports:
     def test_subpackage_exports(self):
         from repro.crowd import BetaSkillEstimator, two_coin_dawid_skene
         from repro.core import BudgetConstraint, ConstrainedGreedySolver
-        from repro.sim import EventSimulation
+        from repro.stream import StreamDispatcher
         from repro.eval import Table
 
         assert BetaSkillEstimator and two_coin_dawid_skene
         assert BudgetConstraint and ConstrainedGreedySolver
-        assert EventSimulation and Table
+        assert StreamDispatcher and Table
 
 
 class TestDocumentedFlow:
