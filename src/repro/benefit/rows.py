@@ -10,7 +10,9 @@ benefits of *one* arriving entity against a bounded active set, so
 It caches the entity arrays once, O(workers + tasks), and answers each
 slice by running the models' own ``matrix`` methods on a gathered
 selection: one formula per model, so a slice agrees **bit-identically**
-with the full matrices.  Models whose entries depend on the whole market
+with the full matrices.  A slice is a row (one worker), a column (one
+task) or, when both sides are index arrays, a 2-D block (a micro-batch
+window).  Models whose entries depend on the whole market
 (:attr:`~repro.benefit.base.BenefitModel.needs_whole_market`, e.g.
 ``NormalizedBenefit``) are refused at construction.
 """
@@ -31,29 +33,34 @@ from repro.market.worker import accuracy
 
 
 class _Selection:
-    """The :class:`~repro.benefit.base.MarketArrays` of one worker
-    against selected tasks, or of selected workers against one task.
+    """The :class:`~repro.benefit.base.MarketArrays` of selected
+    workers against selected tasks.
 
-    The single entity is an ``int`` index and, as in NumPy indexing,
-    drops its axis: every array (and so every model's ``matrix``) is
-    1-D along the selected side.  Per-pair skills are gathered once
-    and shared by both models.
+    A single entity is an ``int`` index and, as in NumPy indexing,
+    drops its axis: a row or column selection is 1-D along the
+    selected side.  When both sides are index arrays the per-pair
+    arrays are gathered in outer (``np.ix_``) form, a 2-D block.
+    Per-pair skills are gathered once and shared by both models.
     """
 
-    __slots__ = ("_rows", "_workers", "_tasks", "_categories", "_skills")
+    __slots__ = ("_rows", "_workers", "_tasks", "_pairs", "_skills")
 
     def __init__(self, rows: RowwiseBenefit, workers, tasks) -> None:
         self._rows = rows
         self._workers = workers
         self._tasks = tasks
-        self._categories = rows._categories[tasks]
-        self._skills = rows._skills[workers, self._categories]
+        categories = rows._categories[tasks]
+        if isinstance(workers, np.ndarray) and isinstance(tasks, np.ndarray):
+            self._pairs = np.ix_(workers, categories)
+        else:
+            self._pairs = (workers, categories)
+        self._skills = rows._skills[self._pairs]
 
     def pair_skills(self) -> np.ndarray:
         return self._skills
 
     def pair_interests(self) -> np.ndarray:
-        return self._rows._interests[self._workers, self._categories]
+        return self._rows._interests[self._pairs]
 
     def accuracy_matrix(self) -> np.ndarray:
         return accuracy(self._skills, self._rows._difficulties[self._tasks])
@@ -103,9 +110,12 @@ class RowwiseBenefit:
         self._efforts = market.task_efforts()
 
     def row(
-        self, worker_index: int, task_indices: Sequence[int] | np.ndarray
+        self,
+        worker_index: int | Sequence[int] | np.ndarray,
+        task_indices: Sequence[int] | np.ndarray,
     ) -> np.ndarray:
-        """Combined benefit of one worker against selected tasks."""
+        """Combined benefit of one worker (or a block of selected
+        workers) against selected tasks."""
         req, wrk = self.side_row(worker_index, task_indices)
         return self.combiner.edge_matrix(req, wrk)
 
@@ -122,9 +132,18 @@ class RowwiseBenefit:
         )
 
     def side_row(
-        self, worker_index: int, task_indices: Sequence[int] | np.ndarray
+        self,
+        worker_index: int | Sequence[int] | np.ndarray,
+        task_indices: Sequence[int] | np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(requester, worker) benefit rows for selected tasks."""
+        """(requester, worker) benefit rows for selected tasks.
+
+        ``worker_index`` is one worker (an ``int``, giving 1-D rows) or
+        an index array, giving ``(len(workers), len(tasks))`` blocks
+        equal to the full matrices at ``np.ix_(workers, tasks)``.
+        """
+        if not isinstance(worker_index, (int, np.integer)):
+            worker_index = np.asarray(worker_index, dtype=np.int64)
         selection = _Selection(
             self, worker_index, np.asarray(task_indices, dtype=np.int64)
         )

@@ -4,6 +4,13 @@ An :class:`MBAProblem` bundles a market snapshot with the benefit
 models and the combiner, materializes the benefit matrices once, and
 offers feasibility checks.  Solvers take an ``MBAProblem`` and return
 an :class:`repro.core.assignment.Assignment`.
+
+:meth:`MBAProblem.from_benefits` states a problem from an already
+computed benefit block and capacity vectors instead — a streaming
+window, whose block comes from
+:class:`~repro.benefit.rows.RowwiseBenefit` — with no market behind it
+(``problem.market`` is ``None``, so only solvers that read the benefits
+and capacities alone, such as ``flow``, apply).
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import numpy as np
 
 from repro.benefit.base import BenefitModel
 from repro.benefit.matrices import BenefitMatrices, build_benefit_matrices
-from repro.benefit.mutual import LinearCombiner, MutualCombiner
+from repro.benefit.mutual import MutualCombiner
 from repro.errors import InfeasibleError, ValidationError
 from repro.market.market import LaborMarket
 from repro.matching.hopcroft_karp import hopcroft_karp
@@ -42,15 +49,62 @@ class MBAProblem:
             raise ValidationError("market has no workers")
         if market.n_tasks == 0:
             raise ValidationError("market has no tasks")
-        self.market = market
-        self.combiner = combiner if combiner is not None else LinearCombiner(0.5)
-        self.benefits: BenefitMatrices = build_benefit_matrices(
+        self.market: LaborMarket | None = market
+        benefits = build_benefit_matrices(
             market,
-            combiner=self.combiner,
+            combiner=combiner,
             requester_model=requester_model,
             worker_model=worker_model,
         )
-        self._active = np.array([w.active for w in market.workers], dtype=bool)
+        active = np.array([w.active for w in market.workers], dtype=bool)
+        worker_caps = market.worker_capacities()
+        worker_caps[~active] = 0
+        self._state(benefits, worker_caps, market.task_replications(), active)
+
+    @classmethod
+    def from_benefits(
+        cls,
+        benefits: BenefitMatrices,
+        worker_caps: np.ndarray,
+        task_caps: np.ndarray,
+    ) -> "MBAProblem":
+        """A problem over a precomputed benefit block, with no market.
+
+        Every worker of the block counts as active; ``worker_caps`` and
+        ``task_caps`` are the per-row and per-column capacities.  Raises
+        :class:`ValidationError` for an empty block, or for capacity
+        vectors that do not match it or hold negative or non-integer
+        values.
+        """
+        n_workers, n_tasks = benefits.shape
+        if n_workers == 0 or n_tasks == 0:
+            raise ValidationError(
+                f"benefit block must be non-empty, got {benefits.shape}"
+            )
+        problem = cls.__new__(cls)
+        problem.market = None
+        problem._state(
+            benefits,
+            _capacity_vector("worker_caps", worker_caps, n_workers),
+            _capacity_vector("task_caps", task_caps, n_tasks),
+            np.ones(n_workers, dtype=bool),
+        )
+        return problem
+
+    def _state(
+        self,
+        benefits: BenefitMatrices,
+        worker_caps: np.ndarray,
+        task_caps: np.ndarray,
+        active: np.ndarray,
+    ) -> None:
+        """The fields both constructors share."""
+        self.benefits: BenefitMatrices = benefits
+        self.combiner: MutualCombiner = benefits.combiner
+        self.n_workers, self.n_tasks = benefits.shape
+        self._worker_caps = worker_caps
+        self._task_caps = task_caps
+        self._active = active
         self._candidate_masks: dict[int, np.ndarray] = {}
         # Memo slot for repro.core.solvers.state.problem_fingerprint:
         # the benefit matrices are immutable for the problem's
@@ -80,22 +134,13 @@ class MBAProblem:
 
     # -- capacities ------------------------------------------------------
 
-    @property
-    def n_workers(self) -> int:
-        return self.market.n_workers
-
-    @property
-    def n_tasks(self) -> int:
-        return self.market.n_tasks
-
     def worker_capacities(self) -> np.ndarray:
-        """Capacities with inactive workers zeroed out."""
-        caps = self.market.worker_capacities().copy()
-        caps[~self._active] = 0
-        return caps
+        """Capacities with inactive workers zeroed out (a fresh copy)."""
+        return self._worker_caps.copy()
 
     def task_capacities(self) -> np.ndarray:
-        return self.market.task_replications()
+        """Per-task replication quotas (a fresh copy)."""
+        return self._task_caps.copy()
 
     def is_worker_active(self, worker_index: int) -> bool:
         return bool(self._active[worker_index])
@@ -157,3 +202,17 @@ class MBAProblem:
             f"MBAProblem(workers={self.n_workers}, tasks={self.n_tasks}, "
             f"combiner={self.combiner!r})"
         )
+
+
+def _capacity_vector(name: str, caps, size: int) -> np.ndarray:
+    """Check one capacity vector of a benefit block."""
+    caps = np.asarray(caps)
+    if caps.shape != (size,):
+        raise ValidationError(f"{name} shape {caps.shape} != ({size},)")
+    if not np.issubdtype(caps.dtype, np.integer):
+        raise ValidationError(
+            f"{name} must hold integers, got dtype {caps.dtype}"
+        )
+    if np.any(caps < 0):
+        raise ValidationError(f"{name} must be non-negative")
+    return caps.astype(np.int64)

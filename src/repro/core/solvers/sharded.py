@@ -200,44 +200,12 @@ def plan_shards(problem: MBAProblem, plan: ShardPlan) -> list[Shard]:
     return shards
 
 
-class _ShardProblem:
-    """A shard as a duck-typed problem the base solvers can consume.
+def _make_shard_problem(problem, shard: Shard) -> MBAProblem:
+    """A shard as a block problem: sliced matrices, no sub-market.
 
-    Carries exactly the surface the core solvers and
-    :class:`~repro.core.assignment.Assignment` validation read:
-    ``benefits``, ``combiner``, capacities, sizes, and the active
-    check (pre-folded into the capacities).  Deliberately *not* an
-    :class:`MBAProblem` — there is no sub-market to rebuild, just
-    sliced matrices — and fully picklable for pool workers.
+    Picklable for pool workers; inactive workers are already zeroed
+    out of the sliced capacities.
     """
-
-    def __init__(
-        self,
-        benefits: BenefitMatrices,
-        caps_w: np.ndarray,
-        caps_t: np.ndarray,
-    ) -> None:
-        self.benefits = benefits
-        self.combiner = benefits.combiner
-        self._caps_w = caps_w
-        self._caps_t = caps_t
-        self.n_workers = int(caps_w.size)
-        self.n_tasks = int(caps_t.size)
-
-    def worker_capacities(self) -> np.ndarray:
-        return self._caps_w
-
-    def task_capacities(self) -> np.ndarray:
-        return self._caps_t
-
-    def is_worker_active(self, worker_index: int) -> bool:
-        # Inactive workers were zeroed out of the sliced capacities.
-        return bool(self._caps_w[worker_index] > 0)
-
-
-def _make_shard_problem(
-    problem, shard: Shard
-) -> _ShardProblem:
     rows = shard.worker_indices[:, np.newaxis]
     cols = shard.task_indices[np.newaxis, :]
     benefits = problem.benefits
@@ -247,7 +215,7 @@ def _make_shard_problem(
         combined=benefits.combined[rows, cols],
         combiner=benefits.combiner,
     )
-    return _ShardProblem(
+    return MBAProblem.from_benefits(
         sliced,
         problem.worker_capacities()[shard.worker_indices],
         problem.task_capacities()[shard.task_indices],
@@ -261,18 +229,8 @@ def _solve_shard_payload(payload: dict) -> list[tuple[int, int]]:
     ``SupervisedPool.run``; also the serial path's unit of work so both
     paths share one code route.
     """
-    shard_problem = _ShardProblem(
-        BenefitMatrices(
-            requester=payload["requester"],
-            worker=payload["worker"],
-            combined=payload["combined"],
-            combiner=payload["combiner"],
-        ),
-        payload["caps_w"],
-        payload["caps_t"],
-    )
     solver = get_solver(payload["base"], **payload["base_kwargs"])
-    assignment = solver.solve(shard_problem, seed=None)
+    assignment = solver.solve(payload["problem"], seed=None)
     return list(assignment.edges)
 
 
@@ -363,21 +321,14 @@ class ShardedSolver(Solver):
             )
             return self._finish(problem, list(assignment.edges))
 
-        payloads = []
-        for shard in shards:
-            shard_problem = _make_shard_problem(problem, shard)
-            payloads.append(
-                {
-                    "requester": shard_problem.benefits.requester,
-                    "worker": shard_problem.benefits.worker,
-                    "combined": shard_problem.benefits.combined,
-                    "combiner": shard_problem.combiner,
-                    "caps_w": shard_problem.worker_capacities(),
-                    "caps_t": shard_problem.task_capacities(),
-                    "base": self.base,
-                    "base_kwargs": self.base_kwargs,
-                }
-            )
+        payloads = [
+            {
+                "problem": _make_shard_problem(problem, shard),
+                "base": self.base,
+                "base_kwargs": self.base_kwargs,
+            }
+            for shard in shards
+        ]
 
         used_parallel = False
         local_edges: dict[int, list[tuple[int, int]]] = {}

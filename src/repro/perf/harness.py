@@ -26,11 +26,12 @@ micro-level tier:
   planning problem each round.
 * ``stream`` — the streaming dispatch service under a Poisson storm
   (|W| = |T| = 10^5 at the full tier): arrival-instant greedy
-  dispatch at full scale, and warm-started micro-batch re-solving at
-  a tenth of it.  The case checksum is the realized combined benefit;
-  throughput (``stream.assignments_per_sec``) and the
-  time-to-assignment percentile gauges land in the bench trace, so
-  the BENCH json carries latency percentiles alongside wall time.
+  dispatch at full scale, and micro-batch windows (a ``flow`` solve on
+  a ``RowwiseBenefit`` block each) at a tenth of it.  The
+  case checksum is the realized combined benefit; throughput
+  (``stream.assignments_per_sec``) and the time-to-assignment
+  percentile gauges land in the bench trace, so the BENCH json
+  carries latency percentiles alongside wall time.
 * ``obs`` — the telemetry-overhead guard: the same seeded dispatch
   storm drained with live telemetry on vs off, gap-gated so the
   overhead ratio stays under 5% (see ``_obs_overhead_case``).
@@ -641,9 +642,9 @@ def build_stream_suite(
     """The streaming-dispatch suite: greedy storm + micro-batch."""
     base = _STREAM_QUICK_SIZE if quick else _STREAM_FULL_SIZE
     size = max(100, int(round(base * scale)))
-    # Micro-batch re-solves windows with a real solver; a tenth of the
-    # storm population keeps the per-window submarkets representative
-    # without turning the suite into a solver benchmark.
+    # Micro-batch solves each window with ``flow``; a tenth of
+    # the storm population keeps the per-window benefit blocks
+    # representative without turning the suite into a solver benchmark.
     micro_size = max(100, size // 10)
     return [
         _stream_case("greedy", size),

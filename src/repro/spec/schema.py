@@ -547,8 +547,9 @@ SCENARIO_KNOBS: tuple[Knob, ...] = (
         ),
         description=(
             "dispatch policy: arrival-instant greedy, sample-and-"
-            "price, warm-started micro-batch re-solves, or round-"
-            "engine delegation"
+            "price, micro-batch windows (flow solve on a "
+            "RowwiseBenefit block, exact for edge-decomposable "
+            "combiners), or round-engine delegation"
         ),
     ),
     Knob(

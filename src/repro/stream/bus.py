@@ -43,6 +43,10 @@ class EventBus:
         """
         self._handlers.setdefault(kind, []).append(handler)
 
+    def clear(self) -> None:
+        """Drop every subscription (and the references handlers hold)."""
+        self._handlers.clear()
+
     def subscribers(self, kind: str) -> int:
         """Number of handlers currently registered for ``kind``."""
         return len(self._handlers.get(kind, ()))

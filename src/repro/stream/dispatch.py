@@ -146,12 +146,10 @@ class DispatchRuntime:
 
     def __init__(
         self,
-        market: LaborMarket,
         config: DispatchConfig,
         rows: RowwiseBenefit,
         bus: EventBus,
     ) -> None:
-        self.market = market
         self.config = config
         self.rows = rows
         self.bus = bus
@@ -398,6 +396,17 @@ class StreamDispatcher:
         :attr:`last_result` once the generator is exhausted (or use
         :meth:`run`, which also times the drain).
         """
+        bus = EventBus()
+        try:
+            yield from self._events(bus, seed)
+        finally:
+            # Handlers close a cycle (bus -> handlers -> runtime -> bus)
+            # that would keep the run alive until a cyclic collection.
+            bus.clear()
+
+    def _events(
+        self, bus: EventBus, seed: SeedLike
+    ) -> Iterator[AssignmentRecord]:
         config = self.config
         if config.policy == "round":
             raise ConfigurationError(
@@ -407,9 +416,8 @@ class StreamDispatcher:
         task_seed = int(rng.integers(2**31))
         worker_seed = int(rng.integers(2**31))
 
-        bus = EventBus()
         rows = RowwiseBenefit(self.market, combiner=self.combiner)
-        runtime = DispatchRuntime(self.market, config, rows, bus)
+        runtime = DispatchRuntime(config, rows, bus)
         policy = make_policy(config, self.market.n_workers)
         result = StreamResult(policy=config.policy)
         self.last_result = result

@@ -15,10 +15,10 @@ the repository's online-matching layer:
   is matched greedily while observed edge benefits calibrate a price,
   which later arrivals must beat (decaying to zero as a task's
   deadline nears, so a queued task is never priced out forever);
-* :class:`MicroBatchPolicy` — accumulate arrivals and re-solve only
-  the active window (online workers × open tasks) at each boundary,
-  warm-started across windows via the PR-8 ``warm`` solver wrapper:
-  entity ids persist between windows, so auction prices carry over.
+* :class:`MicroBatchPolicy` — accumulate arrivals and, at each
+  boundary, solve the active window (online workers × open tasks)
+  with one ``flow`` solve on a ``RowwiseBenefit`` block, exact for
+  edge-decomposable (e.g. linear) combiners.
 
 Round mode is the fourth policy in spirit — it delegates to the batch
 engine wholesale and lives in :mod:`repro.stream.dispatch`.
@@ -27,11 +27,11 @@ engine wholesale and lives in :mod:`repro.stream.dispatch`.
 from __future__ import annotations
 
 import abc
-import dataclasses
 
 import numpy as np
 
 from repro import obs
+from repro.benefit.matrices import BenefitMatrices
 from repro.errors import ConfigurationError
 from repro.stream.events import (
     StreamEvent,
@@ -229,15 +229,15 @@ class SamplePricePolicy(GreedyPolicy):
 
 
 class MicroBatchPolicy(DispatchPolicy):
-    """Window re-solves over the active sets, warm-started.
+    """Window solves over the active sets.
 
     Between flushes nothing is assigned; at each ``window-flush`` the
-    policy builds the bounded submarket of online-with-capacity
-    workers against open tasks and solves it with the ``warm`` wrapper
-    around the auction solver.  Entity ids are stable across windows,
-    so the wrapper's :class:`~repro.core.solvers.state.WarmState`
-    reuses auction prices for tasks that stayed open — the re-solve
-    touches only the arrival window's worth of fresh state.
+    policy gathers one :class:`~repro.benefit.rows.RowwiseBenefit`
+    block of the online-with-capacity workers against the open tasks
+    and solves it with ``flow`` (max-weight b-matching: each worker up
+    to their remaining capacity, each task at most once).  The window
+    maximizes the summed combined edge score, which is the exact MBA
+    objective for edge-decomposable (e.g. linear) combiners.
     """
 
     name = "micro-batch"
@@ -245,12 +245,7 @@ class MicroBatchPolicy(DispatchPolicy):
     def __init__(self) -> None:
         from repro.core.solvers import get_solver
 
-        # churn_threshold=1.0: windows churn by construction (assigned
-        # tasks leave), and the auction kernel is correct from any
-        # finite price state — always prefer the warm tier.
-        self._solver = get_solver(
-            "warm", base="auction", exact=False, churn_threshold=1.0
-        )
+        self._solver = get_solver("flow")
         self.windows_flushed = 0
 
     def bind(self, runtime, bus) -> None:
@@ -275,46 +270,27 @@ class MicroBatchPolicy(DispatchPolicy):
         from repro.core.problem import MBAProblem
 
         runtime = self.runtime
-        workers = [
-            index
-            for index in runtime.ledger.online()
-            if runtime.capacity(index) > 0
-        ]
+        workers = runtime.online_array()
         tasks, _posted = runtime.open_arrays()
-        if not workers or tasks.size == 0:
+        if workers.size == 0 or tasks.size == 0:
             return
-        from repro.market.market import LaborMarket
-
-        market = runtime.market
-        sub_workers = [
-            dataclasses.replace(
-                market.workers[index],
-                capacity=runtime.capacity(index),
-            )
-            for index in workers
-        ]
-        sub_tasks = [
-            dataclasses.replace(market.tasks[index], replication=1)
-            for index in tasks
-        ]
-        submarket = LaborMarket(
-            sub_workers, sub_tasks, market.taxonomy, market.requesters
-        )
+        rows = runtime.rows
         with obs.span(
-            "stream.window",
-            workers=len(sub_workers),
-            tasks=len(sub_tasks),
+            "stream.window", workers=int(workers.size), tasks=int(tasks.size)
         ):
-            problem = MBAProblem(submarket, combiner=runtime.rows.combiner)
-            assignment = self._solver.solve(problem, seed=0)
+            requester, worker = rows.side_row(workers, tasks)
+            combined = rows.combiner.edge_matrix(requester, worker)
+            problem = MBAProblem.from_benefits(
+                BenefitMatrices(requester, worker, combined, rows.combiner),
+                np.array([runtime.capacity(int(i)) for i in workers]),
+                np.ones(tasks.size, dtype=np.int64),
+            )
+            assignment = self._solver.solve(problem)
         self.windows_flushed += 1
         obs.count("stream.windows")
         for wi, tj in assignment.edges:
-            benefit = float(problem.benefits.combined[wi, tj])
-            if benefit <= 0.0:
-                continue
             runtime.assign(
-                int(workers[wi]), int(tasks[tj]), time, benefit
+                int(workers[wi]), int(tasks[tj]), time, float(combined[wi, tj])
             )
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.benefit import (
     LinearCombiner,
+    NashCombiner,
     NetRewardBenefit,
     NormalizedBenefit,
     QualityGainBenefit,
@@ -96,6 +97,64 @@ class TestFastPath:
         matrices = build_benefit_matrices(market, combiner=combiner)
         tasks = np.arange(market.n_tasks)
         assert np.array_equal(rows.row(0, tasks), matrices.combined[0])
+
+
+class TestBlocks:
+    """Index arrays on both sides gather the ``np.ix_`` block."""
+
+    @pytest.mark.parametrize(
+        "requester_model",
+        [QualityGainBenefit(), QualityGainBenefit(value_scale=2.5)],
+        ids=["quality-gain", "quality-gain-scaled"],
+    )
+    @pytest.mark.parametrize(
+        "worker_model",
+        [
+            NetRewardBenefit(),
+            NetRewardBenefit(wage_model=FlatCost(0.4), interest_weight=0.0),
+            NetRewardBenefit(wage_model=_QuadraticCost()),
+        ],
+        ids=["net-reward", "net-reward-flat", "net-reward-quadratic"],
+    )
+    @pytest.mark.parametrize(
+        "combiner", [LinearCombiner(0.3), NashCombiner()],
+        ids=["linear", "nash"],
+    )
+    def test_block_matches_full_matrices(
+        self, requester_model, worker_model, combiner
+    ):
+        market = _market(seed=6)
+        models = dict(
+            combiner=combiner,
+            requester_model=requester_model,
+            worker_model=worker_model,
+        )
+        rows = RowwiseBenefit(market, **models)
+        full = build_benefit_matrices(market, **models)
+        workers = np.array([9, 0, 17, 3, 3, 24])
+        tasks = np.array([13, 2, 7, 0])
+        block = np.ix_(workers, tasks)
+        requester, worker = rows.side_row(workers, tasks)
+        assert requester.shape == (workers.size, tasks.size)
+        assert np.array_equal(requester, full.requester[block])
+        assert np.array_equal(worker, full.worker[block])
+        assert np.array_equal(rows.row(workers, tasks), full.combined[block])
+
+    def test_worker_list_is_an_index_array(self):
+        rows = RowwiseBenefit(_market())
+        tasks = np.arange(4)
+        assert np.array_equal(
+            rows.row([2, 5], tasks), rows.row(np.array([2, 5]), tasks)
+        )
+        assert np.array_equal(
+            rows.row(np.int64(5), tasks), rows.row(5, tasks)
+        )
+
+    def test_empty_block(self):
+        rows = RowwiseBenefit(_market())
+        empty = np.zeros(0, dtype=np.int64)
+        assert rows.row(empty, np.arange(3)).shape == (0, 3)
+        assert rows.row(np.arange(3), empty).shape == (3, 0)
 
 
 class TestCustomModels:
@@ -202,3 +261,7 @@ class TestSlicesProperty:
         assert np.array_equal(req, full.requester[worker, tasks])
         assert np.array_equal(wrk, full.worker[worker, tasks])
         assert rows.edge(worker, task) == float(full.combined[worker, task])
+        block = np.ix_(workers, tasks)
+        req, wrk = rows.side_row(workers, tasks)
+        assert np.array_equal(req, full.requester[block])
+        assert np.array_equal(wrk, full.worker[block])

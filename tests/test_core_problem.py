@@ -1,11 +1,17 @@
 """Tests for MBAProblem."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.benefit.mutual import LinearCombiner
+from repro.benefit.matrices import BenefitMatrices
+from repro.benefit.mutual import LinearCombiner, NashCombiner
+from repro.benefit.rows import RowwiseBenefit
 from repro.core.problem import MBAProblem
+from repro.core.solvers import get_solver
 from repro.errors import InfeasibleError, ValidationError
+from repro.matching.b_matching import max_weight_b_matching
 from repro.market.categories import CategoryTaxonomy
 from repro.market.market import LaborMarket
 from repro.market.task import Task
@@ -78,3 +84,126 @@ class TestFeasibility:
         problem = MBAProblem(market, combiner=LinearCombiner(0.5))
         with pytest.raises(InfeasibleError):
             problem.require_nonempty_feasible()
+
+
+def _block(rows, workers, tasks):
+    requester, worker = rows.side_row(workers, tasks)
+    return BenefitMatrices(
+        requester,
+        worker,
+        rows.combiner.edge_matrix(requester, worker),
+        rows.combiner,
+    )
+
+
+class TestFromBenefits:
+    @pytest.mark.parametrize(
+        "combiner", [LinearCombiner(0.4), NashCombiner()],
+        ids=["linear", "nash"],
+    )
+    def test_block_problem_matches_restricted_market(
+        self, small_market, combiner
+    ):
+        """A block problem solves like the market restricted to it."""
+        workers = np.array([3, 0, 11, 7, 19, 5])
+        tasks = np.array([8, 1, 4, 6])
+        worker_caps = np.array([2, 1, 1, 3, 1, 2])
+        task_caps = np.array([1, 2, 1, 1])
+        market = small_market
+        restricted = MBAProblem(
+            type(market)(
+                [
+                    dataclasses.replace(
+                        market.workers[i], capacity=int(c), active=True
+                    )
+                    for i, c in zip(workers, worker_caps)
+                ],
+                [
+                    dataclasses.replace(market.tasks[j], replication=int(c))
+                    for j, c in zip(tasks, task_caps)
+                ],
+                market.taxonomy,
+                market.requesters,
+            ),
+            combiner=combiner,
+        )
+        block = MBAProblem.from_benefits(
+            _block(RowwiseBenefit(market, combiner=combiner), workers, tasks),
+            worker_caps,
+            task_caps,
+        )
+        assert block.market is None
+        assert (block.n_workers, block.n_tasks) == (6, 4)
+        for side in ("requester", "worker", "combined"):
+            assert np.array_equal(
+                getattr(block.benefits, side),
+                getattr(restricted.benefits, side),
+            )
+        assert list(block.worker_capacities()) == list(worker_caps)
+        assert list(block.task_capacities()) == list(task_caps)
+        flow = get_solver("flow")
+        ours = flow.solve(block)
+        theirs = flow.solve(restricted)
+        assert ours.edges == theirs.edges
+        assert ours.combined_total() == theirs.combined_total()
+
+    def test_accessors_return_copies(self, tiny_market):
+        block = MBAProblem.from_benefits(
+            _block(RowwiseBenefit(tiny_market), [0, 1], [0]), [1, 2], [1]
+        )
+        block.worker_capacities()[0] = 99
+        assert list(block.worker_capacities()) == [1, 2]
+
+    @pytest.mark.parametrize(
+        "worker_caps, task_caps, message",
+        [
+            ([1], [1], r"worker_caps shape \(1,\) != \(2,\)"),
+            ([1, 1], [1, 1], r"task_caps shape \(2,\) != \(1,\)"),
+            ([[1, 1]], [1], "worker_caps shape"),
+        ],
+        ids=["workers", "tasks", "two-d"],
+    )
+    def test_capacity_length_must_match_block(
+        self, tiny_market, worker_caps, task_caps, message
+    ):
+        benefits = _block(RowwiseBenefit(tiny_market), [0, 1], [0])
+        with pytest.raises(ValidationError, match=message):
+            MBAProblem.from_benefits(benefits, worker_caps, task_caps)
+
+    def test_negative_capacity_rejected(self, tiny_market):
+        benefits = _block(RowwiseBenefit(tiny_market), [0, 1], [0])
+        with pytest.raises(ValidationError, match="task_caps must be non-neg"):
+            MBAProblem.from_benefits(benefits, [1, 1], [-1])
+
+    def test_non_integer_capacity_rejected(self, tiny_market):
+        benefits = _block(RowwiseBenefit(tiny_market), [0, 1], [0])
+        with pytest.raises(ValidationError, match="worker_caps must hold int"):
+            MBAProblem.from_benefits(benefits, [1.5, 1.0], [1])
+
+    def test_empty_block_rejected(self, tiny_market):
+        benefits = _block(RowwiseBenefit(tiny_market), [], [0])
+        with pytest.raises(ValidationError, match="non-empty"):
+            MBAProblem.from_benefits(benefits, np.zeros(0, int), [1])
+
+    def test_non_finite_block_fails_like_the_kernel(self):
+        weights = np.array([[1.0, np.nan], [0.5, 2.0]])
+        with pytest.raises(ValidationError) as direct:
+            max_weight_b_matching(weights, [1, 1], [1, 1])
+        block = MBAProblem.from_benefits(
+            BenefitMatrices(weights, weights, weights, LinearCombiner(0.5)),
+            [1, 1],
+            [1, 1],
+        )
+        with pytest.raises(ValidationError) as solved:
+            get_solver("flow").solve(block)
+        assert str(solved.value) == str(direct.value) == (
+            "weights must be finite"
+        )
+
+    def test_block_shapes_must_agree(self):
+        with pytest.raises(ValidationError, match="share one shape"):
+            BenefitMatrices(
+                np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)),
+                LinearCombiner(0.5),
+            )
+

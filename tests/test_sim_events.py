@@ -162,7 +162,6 @@ class TestOverlappingSessions:
     def test_second_session_survives_first_logout(self):
         market = _market(seed=0, n_workers=3, n_tasks=3)
         runtime = DispatchRuntime(
-            market,
             DispatchConfig(session_length=5.0, deadline=4.0),
             RowwiseBenefit(market),
             EventBus(),

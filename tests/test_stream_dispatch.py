@@ -7,14 +7,18 @@ arrival orders.
 """
 
 import dataclasses
+import gc
 import hashlib
 import types
+import weakref
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.benefit import LinearCombiner, build_benefit_matrices
+from repro.benefit import LinearCombiner, RowwiseBenefit, build_benefit_matrices
+from repro.core.problem import MBAProblem
+from repro.core.solvers import auction_solver
 from repro.datagen.synthetic import SyntheticConfig, generate_market
 from repro.errors import ConfigurationError, ValidationError
 from repro.market.arrivals import TraceArrivals
@@ -25,6 +29,7 @@ from repro.sim.engine import Simulation
 from repro.sim.scenario import Scenario
 from repro.stream import (
     DISPATCH_POLICIES,
+    ONLINE_POLICIES,
     DispatchConfig,
     GreedyPolicy,
     MicroBatchPolicy,
@@ -274,6 +279,48 @@ class TestOnlinePolicies:
         for key in ("p50", "p95", "p99"):
             assert gauges[f"stream.latency.{key}"] == summary[key]
 
+    def test_micro_batch_windows_are_submarket_blocks(self, monkeypatch):
+        """Each window's block equals the benefits of the submarket of
+        its online workers and open tasks; no market is built and no
+        auction runs."""
+        market = generate_market(
+            SyntheticConfig(n_workers=40, n_tasks=60), seed=5
+        )
+        windows = []
+        side_row = RowwiseBenefit.side_row
+
+        def spy(rows, workers, tasks):
+            block = side_row(rows, workers, tasks)
+            windows.append((np.array(workers), np.array(tasks), block))
+            return block
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a window built a market or ran an auction")
+
+        monkeypatch.setattr(RowwiseBenefit, "side_row", spy)
+        monkeypatch.setattr(LaborMarket, "__init__", forbidden)
+        monkeypatch.setattr(auction_solver, "auction_assignment", forbidden)
+        config = DispatchConfig(
+            policy="micro-batch",
+            task_rate=6.0,
+            worker_rate=2.0,
+            deadline=4.0,
+            session_length=3.0,
+        )
+        StreamDispatcher(market, config).run(seed=13)
+        monkeypatch.undo()
+        assert len(windows) > 10
+        for workers, tasks, (requester, worker) in windows:
+            submarket = LaborMarket(
+                [market.workers[i] for i in workers],
+                [market.tasks[j] for j in tasks],
+                market.taxonomy,
+                market.requesters,
+            )
+            full = MBAProblem(submarket).benefits
+            assert np.array_equal(requester, full.requester)
+            assert np.array_equal(worker, full.worker)
+
     def test_sample_price_decays_to_zero_at_deadline(self):
         policy = SamplePricePolicy(sample_cutoff=0)
         policy.runtime = types.SimpleNamespace(
@@ -495,3 +542,34 @@ class TestRun:
         dispatcher = StreamDispatcher(_market())
         result = dispatcher.run(seed=0)
         assert dispatcher.last_result is result
+
+    @pytest.mark.parametrize("policy", ONLINE_POLICIES)
+    def test_finished_run_is_freed_without_cyclic_gc(self, policy):
+        config = DispatchConfig(policy=policy)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            dispatcher = StreamDispatcher(_market(), config)
+            result = dispatcher.run(seed=0)
+            ref = weakref.ref(result)
+            del dispatcher, result
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("policy", ONLINE_POLICIES)
+    def test_abandoned_stream_is_freed_without_cyclic_gc(self, policy):
+        config = DispatchConfig(policy=policy, task_rate=6.0)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            dispatcher = StreamDispatcher(_market(), config)
+            stream = dispatcher.dispatch(seed=0)
+            next(stream)
+            ref = weakref.ref(dispatcher.last_result)
+            del dispatcher, stream
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
