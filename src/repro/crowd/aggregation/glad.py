@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.crowd.aggregation.dawid_skene import TaskRows
 from repro.crowd.answer_model import AnswerSet
 from repro.errors import ValidationError
 
@@ -81,38 +82,19 @@ def glad(
             "max_iterations and gradient_steps must be >= 1"
         )
 
-    tasks = sorted(answer_set.answers)
-    workers = sorted(
-        {w for by_worker in answer_set.answers.values() for w in by_worker}
-    )
-    if not tasks:
+    if not answer_set.n_answers():
         return GladResult({}, {}, {}, {}, 0.0, 0)
 
-    task_index = {t: i for i, t in enumerate(tasks)}
-    worker_index = {w: i for i, w in enumerate(workers)}
     # Flat observation arrays: (task, worker, answer).
-    obs_task = []
-    obs_worker = []
-    obs_answer = []
-    for t in tasks:
-        for w, a in answer_set.answers[t].items():
-            obs_task.append(task_index[t])
-            obs_worker.append(worker_index[w])
-            obs_answer.append(a)
-    obs_task = np.array(obs_task)
-    obs_worker = np.array(obs_worker)
-    # Integer labels: comparisons below stay exact by construction.
-    obs_answer = np.array(obs_answer, dtype=int)
+    rows = TaskRows.of(answer_set)
+    obs_task, obs_worker = rows.task, rows.worker
+    obs_answer = rows.says_one.astype(int)
 
-    n_tasks, n_workers = len(tasks), len(workers)
+    n_tasks, n_workers = rows.task_ids.size, rows.worker_ids.size
     alpha = np.ones(n_workers)          # abilities
     log_beta = np.zeros(n_tasks)        # log easiness
-    posterior = np.full(n_tasks, class_prior)
-
     # Soft-majority initialization of the posterior.
-    ones = np.bincount(obs_task, weights=obs_answer, minlength=n_tasks)
-    counts = np.bincount(obs_task, minlength=n_tasks)
-    posterior = (ones + 1.0) / (counts + 2.0)
+    posterior = rows.soft_majority()
 
     log_prior_1 = math.log(class_prior)
     log_prior_0 = math.log(1.0 - class_prior)
@@ -178,16 +160,12 @@ def glad(
             break
         log_likelihood = new_ll
 
-    labels = {
-        t: int(posterior[task_index[t]] >= 0.5) for t in tasks
-    }
+    tasks = rows.task_ids.tolist()
     return GladResult(
-        labels=labels,
-        posteriors={t: float(posterior[task_index[t]]) for t in tasks},
-        abilities={w: float(alpha[worker_index[w]]) for w in workers},
-        easiness={
-            t: float(np.exp(log_beta[task_index[t]])) for t in tasks
-        },
+        labels=dict(zip(tasks, (posterior >= 0.5).astype(int).tolist())),
+        posteriors=dict(zip(tasks, posterior.tolist())),
+        abilities=dict(zip(rows.worker_ids.tolist(), alpha.tolist())),
+        easiness=dict(zip(tasks, np.exp(log_beta).tolist())),
         log_likelihood=log_likelihood,
         iterations=iterations,
     )

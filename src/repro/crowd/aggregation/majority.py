@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.crowd.answer_model import AnswerSet
 from repro.utils.rng import SeedLike, as_rng
 
@@ -14,15 +16,19 @@ def majority_vote(answer_set: AnswerSet, seed: SeedLike = None) -> dict[int, int
     :func:`repro.crowd.quality.majority_vote_accuracy` assumes.
     Returns ``{task_index: label}``.
     """
+    task_ids, group = answer_set.task_groups
+    ones = np.bincount(group, weights=answer_set.votes, minlength=task_ids.size)
+    zeros = np.bincount(group, minlength=task_ids.size) - ones
+    return label_by_score(task_ids, ones - zeros, seed)
+
+
+def label_by_score(
+    task_ids: np.ndarray, score: np.ndarray, seed: SeedLike = None
+) -> dict[int, int]:
+    """``{task: 1 if score > 0 else 0}``, in ``task_ids`` order; a zero
+    score draws one fair coin per tied task, in that order."""
     rng = as_rng(seed)
-    labels: dict[int, int] = {}
-    for task_index, by_worker in answer_set.answers.items():
-        ones = sum(by_worker.values())
-        zeros = len(by_worker) - ones
-        if ones > zeros:
-            labels[task_index] = 1
-        elif zeros > ones:
-            labels[task_index] = 0
-        else:
-            labels[task_index] = int(rng.integers(0, 2))
-    return labels
+    labels = (score > 0).astype(int)
+    for position in np.flatnonzero(score == 0).tolist():
+        labels[position] = int(rng.integers(0, 2))
+    return dict(zip(task_ids.tolist(), labels.tolist()))

@@ -7,9 +7,11 @@ accuracy.  The two-coin model estimates a full 2×2 confusion matrix —
 one label (e.g. content moderators who over-flag).  This is the
 original Dawid & Skene (1979) formulation restricted to two classes.
 
-EM structure mirrors the one-coin module: E-step computes per-task
-posteriors, M-step re-estimates sensitivities/specificities and the
-class prior; the data log-likelihood is non-decreasing.
+EM structure mirrors the one-coin module, and shares its
+:class:`~repro.crowd.aggregation.dawid_skene.TaskRows` reductions:
+E-step computes per-task posteriors, M-step re-estimates
+sensitivities/specificities and the class prior; the data
+log-likelihood is non-decreasing.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.crowd.aggregation.dawid_skene import TaskRows
 from repro.crowd.answer_model import AnswerSet
 from repro.errors import ValidationError
 
@@ -48,8 +53,8 @@ class TwoCoinResult:
     iterations: int
 
 
-def _clip(x: float) -> float:
-    return min(max(x, _EPS), 1.0 - _EPS)
+def _clip(x: np.ndarray) -> np.ndarray:
+    return np.clip(x, _EPS, 1.0 - _EPS)
 
 
 def two_coin_dawid_skene(
@@ -60,85 +65,58 @@ def two_coin_dawid_skene(
     """Run two-coin Dawid–Skene EM on an answer set."""
     if max_iterations < 1:
         raise ValidationError("max_iterations must be >= 1")
-
-    tasks = sorted(answer_set.answers)
-    workers = sorted(
-        {w for by_worker in answer_set.answers.values() for w in by_worker}
-    )
-    if not tasks:
+    if not answer_set.n_answers():
         return TwoCoinResult({}, {}, {}, {}, 0.5, 0.0, 0)
 
-    posterior: dict[int, float] = {}
-    for task in tasks:
-        by_worker = answer_set.answers[task]
-        posterior[task] = (sum(by_worker.values()) + 1.0) / (len(by_worker) + 2.0)
-
-    sensitivity = {w: 0.7 for w in workers}
-    specificity = {w: 0.7 for w in workers}
-    class_prior = 0.5
+    rows = TaskRows.of(answer_set)
+    posterior = rows.soft_majority()
+    sensitivity = np.full(rows.worker_ids.size, 0.7)
+    specificity = np.full(rows.worker_ids.size, 0.7)
     log_likelihood = -math.inf
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
-        # M-step.
-        pos_agree = {w: 0.0 for w in workers}
-        pos_total = {w: 0.0 for w in workers}
-        neg_agree = {w: 0.0 for w in workers}
-        neg_total = {w: 0.0 for w in workers}
-        prior_mass = 0.0
-        for task in tasks:
-            p1 = posterior[task]
-            prior_mass += p1
-            for worker, answer in answer_set.answers[task].items():
-                pos_total[worker] += p1
-                neg_total[worker] += 1.0 - p1
-                if answer == 1:
-                    pos_agree[worker] += p1
-                else:
-                    neg_agree[worker] += 1.0 - p1
-        class_prior = _clip(prior_mass / len(tasks))
-        for worker in workers:
-            if pos_total[worker] > 0:
-                sensitivity[worker] = _clip(
-                    pos_agree[worker] / pos_total[worker]
-                )
-            if neg_total[worker] > 0:
-                specificity[worker] = _clip(
-                    neg_agree[worker] / neg_total[worker]
-                )
+        # M-step (a worker with no mass on a class keeps its estimate).
+        p1 = posterior[rows.task]
+        class_prior = float(
+            _clip(np.cumsum(posterior)[-1] / rows.task_ids.size)
+        )
+        pos_total = rows.per_worker(p1)
+        neg_total = rows.per_worker(1.0 - p1)
+        pos_agree = rows.per_worker(np.where(rows.says_one, p1, 0.0))
+        neg_agree = rows.per_worker(np.where(rows.says_one, 0.0, 1.0 - p1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sensitivity = np.where(
+                pos_total > 0, _clip(pos_agree / pos_total), sensitivity
+            )
+            specificity = np.where(
+                neg_total > 0, _clip(neg_agree / neg_total), specificity
+            )
 
         # E-step + likelihood.
-        new_ll = 0.0
-        for task in tasks:
-            log_p1 = math.log(class_prior)
-            log_p0 = math.log(1.0 - class_prior)
-            for worker, answer in answer_set.answers[task].items():
-                sens = sensitivity[worker]
-                spec = specificity[worker]
-                if answer == 1:
-                    log_p1 += math.log(sens)
-                    log_p0 += math.log(1.0 - spec)
-                else:
-                    log_p1 += math.log(1.0 - sens)
-                    log_p0 += math.log(spec)
-            peak = max(log_p1, log_p0)
-            evidence = peak + math.log(
-                math.exp(log_p1 - peak) + math.exp(log_p0 - peak)
-            )
-            posterior[task] = math.exp(log_p1 - evidence)
-            new_ll += evidence
+        log_sens = rows.log_by_row(sensitivity)
+        log_miss = rows.log_by_row(1.0 - sensitivity)
+        log_spec = rows.log_by_row(specificity)
+        log_false = rows.log_by_row(1.0 - specificity)
+        posterior, evidence = rows.e_step(
+            class_prior,
+            np.where(rows.says_one, log_sens, log_miss),
+            np.where(rows.says_one, log_false, log_spec),
+        )
+        new_ll = float(np.cumsum(evidence)[-1])
 
         if new_ll - log_likelihood < tolerance and iterations > 1:
             log_likelihood = new_ll
             break
         log_likelihood = new_ll
 
-    labels = {task: int(posterior[task] >= 0.5) for task in tasks}
+    tasks = rows.task_ids.tolist()
+    workers = rows.worker_ids.tolist()
     return TwoCoinResult(
-        labels=labels,
-        posteriors=dict(posterior),
-        sensitivities=dict(sensitivity),
-        specificities=dict(specificity),
+        labels=dict(zip(tasks, (posterior >= 0.5).astype(int).tolist())),
+        posteriors=dict(zip(tasks, posterior.tolist())),
+        sensitivities=dict(zip(workers, sensitivity.tolist())),
+        specificities=dict(zip(workers, specificity.tolist())),
         class_prior=class_prior,
         log_likelihood=log_likelihood,
         iterations=iterations,

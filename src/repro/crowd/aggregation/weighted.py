@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from repro.crowd.aggregation.majority import label_by_score
 from repro.crowd.answer_model import AnswerSet
 from repro.errors import ValidationError
-from repro.utils.rng import SeedLike, as_rng
+from repro.utils.rng import SeedLike
 
 _CLIP = 1e-3
 
@@ -34,19 +37,20 @@ def weighted_majority_vote(
 
     Workers missing from ``worker_accuracies`` default to 0.5 (weight
     0): an unknown worker's vote carries no information.  Ties (net
-    score exactly 0) break by fair coin.
+    score exactly 0) break by fair coin.  Each task's score adds its
+    signed weights in row order, starting from 0.
     """
-    rng = as_rng(seed)
-    labels: dict[int, int] = {}
-    for task_index, by_worker in answer_set.answers.items():
-        score = 0.0
-        for worker_index, answer in by_worker.items():
-            weight = log_odds_weight(worker_accuracies.get(worker_index, 0.5))
-            score += weight if answer == 1 else -weight
-        if score > 0:
-            labels[task_index] = 1
-        elif score < 0:
-            labels[task_index] = 0
-        else:
-            labels[task_index] = int(rng.integers(0, 2))
-    return labels
+    task_ids, group = answer_set.task_groups
+    worker_ids, worker = np.unique(answer_set.workers, return_inverse=True)
+    weight = np.array(
+        [
+            log_odds_weight(worker_accuracies.get(w, 0.5))
+            for w in worker_ids.tolist()
+        ]
+    )[worker]
+    score = np.bincount(
+        group,
+        weights=np.where(answer_set.votes == 1, weight, -weight),
+        minlength=task_ids.size,
+    )
+    return label_by_score(task_ids, score, seed)

@@ -17,42 +17,119 @@ reproducing the scalar call sequence bit for bit (see
 :func:`_simulate_answers_batched`), so seeded runs are byte-identical
 to the loop they replaced — which survives as
 :func:`simulate_answers_reference` and is cross-checked in tests.
+Both return an :class:`AnswerSet`, whose rows are the answers in the
+order that loop's ``{task: {worker: answer}}`` dict iterates.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.market.market import LaborMarket
+from repro.market.worker import accuracy
 from repro.utils.rng import SeedLike, as_rng
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AnswerSet:
     """All answers produced for one assignment round.
 
+    Answers are stored once, as three parallel read-only ``int64``
+    arrays with one row per answered (task, worker) pair.  The
+    simulator and :meth:`from_dicts` group the rows by task in
+    first-answer order, and within a task order the workers by first
+    answer — the iteration order of the ``{task: {worker: answer}}``
+    dict the rows replace.  Aggregators and the skill estimator reduce
+    over the rows with ``np.bincount``.
+
     Attributes
     ----------
-    answers:
-        ``{task_index: {worker_index: answer}}`` with answers in
-        ``{0, 1}``.
+    tasks / workers / votes:
+        Row ``r`` says worker ``workers[r]`` answered task ``tasks[r]``
+        with ``votes[r]`` in ``{0, 1}``.
     truths:
         ``{task_index: true_label}`` — ground truth for scoring; kept
         separate so aggregation methods cannot accidentally peek.
     """
 
-    answers: dict[int, dict[int, int]] = field(default_factory=dict)
+    tasks: np.ndarray = ()
+    workers: np.ndarray = ()
+    votes: np.ndarray = ()
     truths: dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        columns = [
+            np.array(c, dtype=np.int64)
+            for c in (self.tasks, self.workers, self.votes)
+        ]
+        if any(c.ndim != 1 for c in columns) or len(
+            {c.size for c in columns}
+        ) != 1:
+            raise ValidationError(
+                "tasks, workers and votes must have one entry per answer"
+            )
+        if np.any((columns[2] != 0) & (columns[2] != 1)):
+            raise ValidationError("votes must be 0 or 1")
+        pairs = np.stack(columns[:2])[:, np.lexsort(columns[1::-1])]
+        if np.any(np.all(np.diff(pairs) == 0, axis=0)):
+            raise ValidationError("a (task, worker) pair has two answers")
+        for name, column in zip(("tasks", "workers", "votes"), columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_dicts(
+        cls,
+        answers: dict[int, dict[int, int]],
+        truths: dict[int, int] | None = None,
+    ) -> AnswerSet:
+        """Build the rows from ``{task: {worker: answer}}``, in its
+        iteration order (tasks with no answers have no rows)."""
+        rows = [
+            (task, worker, answer)
+            for task, by_worker in answers.items()
+            for worker, answer in by_worker.items()
+        ]
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        return cls(*columns, dict(truths or {}))
+
+    @cached_property
+    def answers(self) -> Mapping[int, Mapping[int, int]]:
+        """Read-only ``{task_index: {worker_index: answer}}`` view of
+        the rows, for callers that walk dicts."""
+        view: dict[int, dict[int, int]] = {}
+        for task, worker, vote in zip(
+            self.tasks.tolist(), self.workers.tolist(), self.votes.tolist()
+        ):
+            view.setdefault(task, {})[worker] = vote
+        return MappingProxyType(
+            {task: MappingProxyType(by) for task, by in view.items()}
+        )
+
+    @cached_property
+    def task_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(task_ids, group)``: the answered tasks in first-answer
+        order, and each row's position in ``task_ids``."""
+        ids, first, inverse = np.unique(
+            self.tasks, return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return ids[order], rank[inverse]
 
     def workers_on(self, task_index: int) -> list[int]:
         """Worker indices that answered a task (sorted)."""
-        return sorted(self.answers.get(task_index, {}))
+        return np.sort(self.workers[self.tasks == task_index]).tolist()
 
     def n_answers(self) -> int:
-        return sum(len(by_worker) for by_worker in self.answers.values())
+        return int(self.tasks.size)
 
 
 def simulate_answers_reference(
@@ -67,8 +144,9 @@ def simulate_answers_reference(
     generators whose word stream the fast path cannot emulate.
     """
     rng = as_rng(seed)
-    accuracy = market.accuracy_matrix()
-    answer_set = AnswerSet()
+    accuracy_matrix = market.accuracy_matrix()
+    answers: dict[int, dict[int, int]] = {}
+    truths: dict[int, int] = {}
     for worker_index, task_index in edges:
         if not 0 <= worker_index < market.n_workers:
             raise ValidationError(
@@ -78,13 +156,13 @@ def simulate_answers_reference(
             raise ValidationError(
                 f"edge references task index {task_index} outside market"
             )
-        if task_index not in answer_set.truths:
-            answer_set.truths[task_index] = int(rng.integers(0, 2))
-        truth = answer_set.truths[task_index]
-        correct = rng.random() < accuracy[worker_index, task_index]
+        if task_index not in truths:
+            truths[task_index] = int(rng.integers(0, 2))
+        truth = truths[task_index]
+        correct = rng.random() < accuracy_matrix[worker_index, task_index]
         answer = truth if correct else 1 - truth
-        answer_set.answers.setdefault(task_index, {})[worker_index] = answer
-    return answer_set
+        answers.setdefault(task_index, {})[worker_index] = answer
+    return AnswerSet.from_dicts(answers, truths)
 
 
 def simulate_answers(
@@ -121,13 +199,18 @@ def simulate_answers(
         # identical state.
         return simulate_answers_reference(market, edges, rng)
 
-    accuracy = market.accuracy_matrix()
-    return _simulate_answers_batched(rng, accuracy, workers, tasks)
+    # Gather each edge's accuracy instead of building the full
+    # (n_workers, n_tasks) matrix: same formula, same entries.
+    edge_accuracy = accuracy(
+        market.skill_matrix()[workers, market.task_categories()[tasks]],
+        market.task_difficulties()[tasks],
+    )
+    return _simulate_answers_batched(rng, edge_accuracy, workers, tasks)
 
 
 def _simulate_answers_batched(
     rng: np.random.Generator,
-    accuracy: np.ndarray,
+    edge_accuracy: np.ndarray,
     workers: np.ndarray,
     tasks: np.ndarray,
 ) -> AnswerSet:
@@ -159,8 +242,10 @@ def _simulate_answers_batched(
     buffered0 = int(state["uinteger"])
 
     # First occurrence of each task, in edge order, draws the truth.
-    _, first_positions = np.unique(tasks, return_index=True)
-    first_positions = np.sort(first_positions)
+    _, first_by_id, inverse = np.unique(
+        tasks, return_index=True, return_inverse=True
+    )
+    first_positions = np.sort(first_by_id)
     is_first = np.zeros(n_edges, dtype=bool)
     is_first[first_positions] = True
     n_truths = first_positions.size
@@ -219,38 +304,24 @@ def _simulate_answers_batched(
 
     # `truths` is in first-occurrence (edge) order; reorder to sorted
     # task order so the unique-inverse can broadcast it per edge.
-    _, inverse = np.unique(tasks, return_inverse=True)
     truths_sorted = truths[np.argsort(tasks[first_positions])]
     truth_per_edge = truths_sorted[inverse]
 
-    correct = uniforms < accuracy[workers, tasks]
-    answers = np.where(correct, truth_per_edge, 1 - truth_per_edge)
+    correct = uniforms < edge_accuracy
+    votes = np.where(correct, truth_per_edge, 1 - truth_per_edge)
 
-    answer_set = AnswerSet()
-    truth_tasks = tasks[first_positions].tolist()
-    for task_index, truth in zip(truth_tasks, truths.tolist()):
-        answer_set.truths[task_index] = truth
-    # Group edges per task (stable sort keeps edge order within each
-    # task, so a repeated (worker, task) pair keeps its last answer,
-    # exactly like the reference loop's overwrite).
-    by_task = np.argsort(tasks, kind="stable")
-    sorted_tasks = tasks[by_task]
-    boundaries = np.flatnonzero(
-        np.diff(sorted_tasks, prepend=sorted_tasks[0] - 1)
+    # One row per (task, worker) pair, placed where the pair first
+    # occurred and carrying its last answer (the reference loop's dict
+    # overwrite), with rows grouped by the task's first occurrence.
+    pair = tasks * (int(workers.max()) + 1) + workers
+    _, pair_first = np.unique(pair, return_index=True)
+    _, pair_first_reversed = np.unique(pair[::-1], return_index=True)
+    pair_last = n_edges - 1 - pair_first_reversed
+    order = np.lexsort((pair_first, first_by_id[inverse][pair_first]))
+    rows = pair_first[order]
+    return AnswerSet(
+        tasks[rows],
+        workers[rows],
+        votes[pair_last[order]],
+        dict(zip(tasks[first_positions].tolist(), truths.tolist())),
     )
-    grouped_workers = workers[by_task].tolist()
-    grouped_answers = answers[by_task].tolist()
-    starts = boundaries.tolist() + [n_edges]
-    groups = {
-        task_index: dict(
-            zip(grouped_workers[start:stop], grouped_answers[start:stop])
-        )
-        for task_index, start, stop in zip(
-            sorted_tasks[boundaries].tolist(), starts[:-1], starts[1:]
-        )
-    }
-    # Emit tasks in first-occurrence order — the insertion order the
-    # reference loop produces.
-    for task_index in truth_tasks:
-        answer_set.answers[task_index] = groups[task_index]
-    return answer_set

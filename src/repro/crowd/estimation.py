@@ -43,6 +43,13 @@ class BetaSkillEstimator:
     per_category:
         When False, one posterior per worker pooled across categories —
         less data-hungry, blinder to specialization.
+
+    ``_counts`` maps ``(worker_id, category)`` (category ``-1`` when
+    pooled) to ``(successes, failures)``; it stays a plain dict so
+    simulation checkpoints pickle it.  :meth:`record_answers` folds a
+    whole round into it with one grouped reduction over the answer
+    rows, and :meth:`estimated_market` reads it back as one
+    ``(n_workers, n_categories)`` matrix.
     """
 
     prior_a: float = 7.0
@@ -86,28 +93,57 @@ class BetaSkillEstimator:
         ``reference_labels`` may be ground truth (gold tasks) or the
         aggregated labels (self-training); tasks missing from it are
         skipped.  Returns the number of observations folded in.
+
+        The round is one grouped reduction: each (worker, category)
+        key adds its count of agreeing and disagreeing answers at
+        once, so new keys enter ``_counts`` in first-answer order and
+        integer-valued counts end exactly where one :meth:`record` per
+        answer would leave them.
         """
-        observed = 0
-        for task_index, by_worker in answer_set.answers.items():
-            reference = reference_labels.get(task_index)
-            if reference is None:
-                continue
-            category = market.tasks[task_index].category
-            for worker_index, answer in by_worker.items():
-                worker_id = market.workers[worker_index].worker_id
-                self.record(worker_id, category, answer == reference)
-                observed += 1
-        return observed
+        task_ids, group = answer_set.task_groups
+        reference = np.array(
+            [reference_labels.get(t, -1) for t in task_ids.tolist()],
+            dtype=np.int64,
+        )[group]
+        scored = np.flatnonzero(reference >= 0)
+        workers = answer_set.workers[scored]
+        categories = (
+            market.task_categories()[answer_set.tasks[scored]]
+            if self.per_category
+            else np.full(scored.size, -1)
+        )
+        keys, first, key_of_row = np.unique(
+            workers * (len(market.taxonomy) + 1) + categories + 1,
+            return_index=True,
+            return_inverse=True,
+        )
+        agree = np.bincount(
+            key_of_row,
+            weights=answer_set.votes[scored] == reference[scored],
+            minlength=keys.size,
+        ).tolist()
+        total = np.bincount(key_of_row, minlength=keys.size).tolist()
+        for k in np.argsort(first).tolist():
+            worker_id = market.workers[int(workers[first[k]])].worker_id
+            key = (worker_id, int(categories[first[k]]))
+            successes, failures = self._counts.get(key, (0.0, 0.0))
+            self._counts[key] = (
+                successes + agree[k], failures + (total[k] - agree[k])
+            )
+        return int(scored.size)
 
     # -- queries ---------------------------------------------------------
 
-    def estimate(self, worker_id: int, category: int) -> float:
-        """Posterior-mean accuracy for a worker on a category."""
+    def _beta(self, worker_id: int, category: int) -> tuple[float, float]:
+        """Posterior Beta parameters ``(a, b)`` for one key."""
         successes, failures = self._counts.get(
             self._key(worker_id, category), (0.0, 0.0)
         )
-        a = self.prior_a + successes
-        b = self.prior_b + failures
+        return self.prior_a + successes, self.prior_b + failures
+
+    def estimate(self, worker_id: int, category: int) -> float:
+        """Posterior-mean accuracy for a worker on a category."""
+        a, b = self._beta(worker_id, category)
         return a / (a + b)
 
     def observations(self, worker_id: int, category: int) -> float:
@@ -127,11 +163,7 @@ class BetaSkillEstimator:
         """
         if not 0.0 < mass < 1.0:
             raise ValidationError(f"mass must lie in (0, 1), got {mass}")
-        successes, failures = self._counts.get(
-            self._key(worker_id, category), (0.0, 0.0)
-        )
-        a = self.prior_a + successes
-        b = self.prior_b + failures
+        a, b = self._beta(worker_id, category)
         mean = a / (a + b)
         variance = a * b / ((a + b) ** 2 * (a + b + 1.0))
         from repro.utils.stats import normal_quantile
@@ -140,35 +172,37 @@ class BetaSkillEstimator:
         half = z * float(np.sqrt(variance))
         return (max(mean - half, 0.0), min(mean + half, 1.0))
 
+    def _skill_estimates(self, market: LaborMarket) -> np.ndarray:
+        """``(n_workers, n_categories)`` posterior means, the matrix of
+        :meth:`estimate` over the market, in one pass over ``_counts``."""
+        row_of = {w.worker_id: i for i, w in enumerate(market.workers)}
+        n_categories = len(market.taxonomy)
+        stored = range(n_categories) if self.per_category else (-1,)
+        successes = np.zeros((market.n_workers, n_categories))
+        failures = np.zeros((market.n_workers, n_categories))
+        for (worker_id, category), (s, f) in self._counts.items():
+            row = row_of.get(worker_id)
+            if row is not None and category in stored:
+                column = category if self.per_category else slice(None)
+                successes[row, column], failures[row, column] = s, f
+        a = self.prior_a + successes
+        b = self.prior_b + failures
+        return a / (a + b)
+
     def estimated_market(self, market: LaborMarket) -> LaborMarket:
         """A market copy whose skills are the current estimates.
 
         Planning against the estimated market instead of the true one
         is exactly what a real platform does; the simulator's
-        estimation mode uses this.
+        estimation mode uses this.  :meth:`LaborMarket.with_skills`
+        checks the :meth:`_skill_estimates` matrix once, instead of one
+        ``Worker`` validation per worker.
         """
-        import dataclasses
-
-        workers = []
-        for worker in market.workers:
-            estimated = np.array(
-                [
-                    self.estimate(worker.worker_id, category)
-                    for category in range(len(market.taxonomy))
-                ]
-            )
-            workers.append(dataclasses.replace(worker, skills=estimated))
-        return LaborMarket(
-            workers, market.tasks, market.taxonomy, market.requesters
-        )
+        return market.with_skills(self._skill_estimates(market))
 
     def rmse_against(self, market: LaborMarket) -> float:
         """Root-mean-square error of estimates vs the market's true skills."""
-        errors = []
-        for worker in market.workers:
-            for category in range(len(market.taxonomy)):
-                estimate = self.estimate(worker.worker_id, category)
-                errors.append(estimate - float(worker.skills[category]))
-        if not errors:
+        if not market.workers:
             return 0.0
+        errors = self._skill_estimates(market) - market.skill_matrix()
         return float(np.sqrt(np.mean(np.square(errors))))

@@ -8,6 +8,7 @@ index arrays without re-checking.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -169,6 +170,35 @@ class LaborMarket:
         return accuracy(self.pair_skills(), self.task_difficulties())
 
     # -- mutation used by the simulator ---------------------------------------
+
+    def with_skills(self, skills: np.ndarray) -> "LaborMarket":
+        """A market whose workers carry the rows of ``skills``.
+
+        ``skills`` is checked once as a whole — shape
+        ``(n_workers, n_categories)``, finite, within ``[0, 1]`` — the
+        conditions ``Worker`` checks per skill vector.  Workers are
+        shallow copies of this market's (already validated) workers,
+        each with its own copy of its row, so no per-worker validation
+        runs again; tasks, taxonomy and requesters are shared.
+        """
+        skills = np.asarray(skills, dtype=float)
+        expected = (self.n_workers, len(self.taxonomy))
+        if skills.shape != expected:
+            raise ValidationError(
+                f"skill matrix has shape {skills.shape}, expected {expected}"
+            )
+        if not np.all(np.isfinite(skills)) or np.any(
+            (skills < 0) | (skills > 1)
+        ):
+            raise ValidationError(
+                "skill matrix entries must be finite and lie in [0, 1]"
+            )
+        workers = []
+        for worker, row in zip(self.workers, skills):
+            clone = copy.copy(worker)
+            clone.skills = row.copy()
+            workers.append(clone)
+        return LaborMarket(workers, self.tasks, self.taxonomy, self.requesters)
 
     def subset(
         self,

@@ -337,13 +337,7 @@ def _answers_case(n_workers: int, n_tasks: int) -> BenchCase:
 
         def checksum(simulate: Callable) -> float:
             result = simulate(market, edges, seed=123)
-            return float(
-                sum(result.truths.values())
-                + sum(
-                    sum(by_worker.values())
-                    for by_worker in result.answers.values()
-                )
-            )
+            return float(sum(result.truths.values()) + result.votes.sum())
 
         wall, total = _best_of(lambda: checksum(simulate_answers), repeats)
         ref_wall, ref_total = _best_of(

@@ -7,6 +7,8 @@ import math
 import pickle
 from pathlib import Path
 
+import numpy as np
+
 from repro import obs
 from repro.core.assignment import Assignment
 from repro.core.fairness import benefit_gini
@@ -267,7 +269,9 @@ class Simulation:
             )
             faulted += len(dropped)
             if estimator is not None and answers is not None:
-                with obs.span("estimate", tasks=len(answers.answers)):
+                with obs.span(
+                    "estimate", tasks=answers.task_groups[0].size
+                ):
                     self._update_estimator(
                         estimator, market, answers, labels, rng
                     )
@@ -541,13 +545,13 @@ class Simulation:
             answers = simulate_answers(market, edges, seed=rng)
         if dropped:
             answers = self._drop_answers(answers, dropped)
-            if not answers.answers:
+            if not answers.n_answers():
                 return float("nan"), None, {}
         aggregator = get_aggregator(self.scenario.aggregator)
         with obs.span(
             "aggregate",
             aggregator=aggregator.name,
-            tasks=len(answers.answers),
+            tasks=answers.task_groups[0].size,
         ):
             # Weight-hungry aggregators get the planner-known
             # accuracies (the planner's model of workers; estimation
@@ -558,11 +562,12 @@ class Simulation:
                 else None
             )
             labels = aggregator.run(answers, weights=weights, seed=rng)
-        scored = [
-            labels[task] == truth for task, truth in answers.truths.items()
-        ]
-        accuracy = sum(scored) / len(scored) if scored else float("nan")
-        return accuracy, answers, labels
+        task_ids, _ = answers.task_groups
+        correct = sum(
+            labels[task] == answers.truths[task]
+            for task in task_ids.tolist()
+        )
+        return correct / task_ids.size, answers, labels
 
     def _weighted_mean_accuracy(self, market) -> dict[int, float]:
         """Per-worker mean planner accuracy for the weighted aggregator.
@@ -594,17 +599,19 @@ class Simulation:
         answers: AnswerSet, dropped: frozenset[tuple[int, int]]
     ) -> AnswerSet:
         """A copy of ``answers`` without the dropped edges' answers."""
-        kept = AnswerSet()
-        for task_index, by_worker in answers.answers.items():
-            surviving = {
-                worker_index: answer
-                for worker_index, answer in by_worker.items()
-                if (worker_index, task_index) not in dropped
-            }
-            if surviving:
-                kept.answers[task_index] = surviving
-                kept.truths[task_index] = answers.truths[task_index]
-        return kept
+        lost = np.array(sorted(dropped), dtype=np.int64).reshape(-1, 2)
+        span = int(max(answers.tasks.max(), lost[:, 1].max())) + 1
+        keep = ~np.isin(
+            answers.workers * span + answers.tasks,
+            lost[:, 0] * span + lost[:, 1],
+        )
+        answered = set(answers.tasks[keep].tolist())
+        return AnswerSet(
+            answers.tasks[keep],
+            answers.workers[keep],
+            answers.votes[keep],
+            {t: v for t, v in answers.truths.items() if t in answered},
+        )
 
     def _update_estimator(
         self,
@@ -619,14 +626,21 @@ class Simulation:
         Aggregated labels only teach when the committee has at least
         three members: with one or two answers the label is (close to)
         the worker's own vote, so "agreement" would be self-confirming
-        noise that inflates every estimate.
+        noise that inflates every estimate.  Gold flags are one
+        ``rng.random`` draw per answered task, in first-answer order.
         """
-        gold_fraction = self.scenario.gold_fraction
+        task_ids, group = answers.task_groups
+        # ``random(n)`` is the same stream as ``n`` scalar ``random()``
+        # calls, so seeded runs draw the same flags as a per-task loop.
+        gold = rng.random(task_ids.size) < self.scenario.gold_fraction
+        committee = np.bincount(group, minlength=task_ids.size)
         reference: dict[int, int] = {}
-        for task_index, by_worker in answers.answers.items():
-            if rng.random() < gold_fraction:
+        for task_index, is_gold, size in zip(
+            task_ids.tolist(), gold.tolist(), committee.tolist()
+        ):
+            if is_gold:
                 reference[task_index] = answers.truths[task_index]
-            elif task_index in labels and len(by_worker) >= 3:
+            elif task_index in labels and size >= 3:
                 reference[task_index] = labels[task_index]
         estimator.record_answers(market, answers, reference)
 

@@ -18,12 +18,7 @@ from repro.errors import ValidationError
 
 
 def _answer_set(task_answers, truths=None):
-    answers = AnswerSet()
-    answers.answers = {
-        t: dict(by_worker) for t, by_worker in task_answers.items()
-    }
-    answers.truths = dict(truths or {})
-    return answers
+    return AnswerSet.from_dicts(task_answers, truths)
 
 
 class TestMajorityVote:
@@ -96,16 +91,16 @@ class TestDawidSkene:
     def test_identifies_spammer(self):
         """A worker who always disagrees with consensus gets low accuracy."""
         rng = np.random.default_rng(0)
-        answers = AnswerSet()
+        votes, truths = {}, {}
         for t in range(40):
             truth = int(rng.integers(0, 2))
-            answers.truths[t] = truth
-            answers.answers[t] = {}
+            truths[t] = truth
+            votes[t] = {}
             for w in range(4):  # reliable workers, 90 %
                 correct = rng.random() < 0.9
-                answers.answers[t][w] = truth if correct else 1 - truth
-            answers.answers[t][4] = 1 - truth  # adversary
-        result = dawid_skene(answers)
+                votes[t][w] = truth if correct else 1 - truth
+            votes[t][4] = 1 - truth  # adversary
+        result = dawid_skene(_answer_set(votes, truths))
         reliable = [result.worker_accuracies[w] for w in range(4)]
         assert min(reliable) > 0.7
         assert result.worker_accuracies[4] < 0.3
@@ -113,15 +108,16 @@ class TestDawidSkene:
     def test_beats_majority_with_skewed_skills(self):
         """DS should out-label majority when skills vary widely."""
         rng = np.random.default_rng(1)
-        answers = AnswerSet()
+        votes, truths = {}, {}
         accuracies = [0.95, 0.95, 0.52, 0.52, 0.52]
         for t in range(200):
             truth = int(rng.integers(0, 2))
-            answers.truths[t] = truth
-            answers.answers[t] = {}
+            truths[t] = truth
+            votes[t] = {}
             for w, a in enumerate(accuracies):
                 correct = rng.random() < a
-                answers.answers[t][w] = truth if correct else 1 - truth
+                votes[t][w] = truth if correct else 1 - truth
+        answers = _answer_set(votes, truths)
         ds_labels = dawid_skene(answers).labels
         mv_labels = majority_vote(answers, seed=0)
         ds_accuracy = np.mean(
@@ -135,14 +131,15 @@ class TestDawidSkene:
     def test_log_likelihood_nondecreasing(self):
         """EM's defining property, checked across iteration counts."""
         rng = np.random.default_rng(2)
-        answers = AnswerSet()
+        votes, truths = {}, {}
         for t in range(30):
             truth = int(rng.integers(0, 2))
-            answers.truths[t] = truth
-            answers.answers[t] = {
+            truths[t] = truth
+            votes[t] = {
                 w: truth if rng.random() < 0.7 else 1 - truth
                 for w in range(4)
             }
+        answers = _answer_set(votes, truths)
         previous = -np.inf
         for iterations in range(1, 8):
             result = dawid_skene(
@@ -153,12 +150,14 @@ class TestDawidSkene:
 
     def test_posteriors_in_unit_interval(self):
         rng = np.random.default_rng(3)
-        answers = AnswerSet()
-        for t in range(15):
-            answers.answers[t] = {
-                w: int(rng.integers(0, 2)) for w in range(3)
-            }
-        result = dawid_skene(answers)
+        result = dawid_skene(
+            _answer_set(
+                {
+                    t: {w: int(rng.integers(0, 2)) for w in range(3)}
+                    for t in range(15)
+                }
+            )
+        )
         assert all(0.0 <= p <= 1.0 for p in result.posteriors.values())
 
     def test_bad_class_prior(self):

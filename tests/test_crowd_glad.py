@@ -13,16 +13,16 @@ def _glad_world(n_tasks=120, n_workers=6, seed=0):
     rng = np.random.default_rng(seed)
     abilities = np.array([3.0, 2.0, 1.5, 1.0, 0.5, -1.0])[:n_workers]
     easiness = rng.uniform(0.3, 3.0, n_tasks)
-    answers = AnswerSet()
+    votes, truths = {}, {}
     for t in range(n_tasks):
         truth = int(rng.integers(0, 2))
-        answers.truths[t] = truth
-        answers.answers[t] = {}
+        truths[t] = truth
+        votes[t] = {}
         for w in range(n_workers):
             p_correct = 1.0 / (1.0 + np.exp(-abilities[w] * easiness[t]))
             correct = rng.random() < p_correct
-            answers.answers[t][w] = truth if correct else 1 - truth
-    return answers, abilities, easiness
+            votes[t][w] = truth if correct else 1 - truth
+    return AnswerSet.from_dicts(votes, truths), abilities, easiness
 
 
 class TestGlad:
@@ -100,16 +100,17 @@ class TestGlad:
         from repro.crowd.aggregation import majority_vote
 
         rng = np.random.default_rng(8)
-        answers = AnswerSet()
+        votes, truths = {}, {}
         # 2 good workers, 3 adversaries: majority is usually wrong.
         profiles = [0.9, 0.9, 0.1, 0.1, 0.1]
         for t in range(150):
             truth = int(rng.integers(0, 2))
-            answers.truths[t] = truth
-            answers.answers[t] = {
+            truths[t] = truth
+            votes[t] = {
                 w: truth if rng.random() < p else 1 - truth
                 for w, p in enumerate(profiles)
             }
+        answers = AnswerSet.from_dicts(votes, truths)
         glad_labels = glad(answers).labels
         mv_labels = majority_vote(answers, seed=0)
         glad_accuracy = np.mean(

@@ -11,20 +11,20 @@ from repro.errors import ValidationError
 def _biased_answers(n_tasks=120, seed=0):
     """Workers with asymmetric reliabilities + one over-flagger."""
     rng = np.random.default_rng(seed)
-    answers = AnswerSet()
+    votes, truths = {}, {}
     # (sensitivity, specificity): worker 3 says 1 almost always.
     profiles = [(0.9, 0.9), (0.85, 0.8), (0.8, 0.85), (0.95, 0.15)]
     for t in range(n_tasks):
         truth = int(rng.random() < 0.4)
-        answers.truths[t] = truth
-        answers.answers[t] = {}
+        truths[t] = truth
+        votes[t] = {}
         for w, (sens, spec) in enumerate(profiles):
             if truth == 1:
                 vote = 1 if rng.random() < sens else 0
             else:
                 vote = 0 if rng.random() < spec else 1
-            answers.answers[t][w] = vote
-    return answers
+            votes[t][w] = vote
+    return AnswerSet.from_dicts(votes, truths)
 
 
 class TestTwoCoin:
@@ -85,14 +85,15 @@ class TestTwoCoin:
         from repro.crowd.aggregation import dawid_skene
 
         rng = np.random.default_rng(5)
-        answers = AnswerSet()
+        votes, truths = {}, {}
         for t in range(100):
             truth = int(rng.integers(0, 2))
-            answers.truths[t] = truth
-            answers.answers[t] = {
+            truths[t] = truth
+            votes[t] = {
                 w: truth if rng.random() < 0.85 else 1 - truth
                 for w in range(5)
             }
+        answers = AnswerSet.from_dicts(votes, truths)
         one = dawid_skene(answers).labels
         two = two_coin_dawid_skene(answers).labels
         agreement = np.mean([one[t] == two[t] for t in answers.truths])
