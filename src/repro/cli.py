@@ -979,7 +979,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_events(args: argparse.Namespace) -> int:
     from repro.stream import DispatchConfig, StreamDispatcher
 
-    market = load_market(args.market)
     config = DispatchConfig(
         policy=args.policy,
         task_rate=args.task_rate,
@@ -987,84 +986,83 @@ def _cmd_events(args: argparse.Namespace) -> int:
         deadline=args.deadline,
         session_length=args.session,
     )
-    dispatcher = StreamDispatcher(market, config)
-    if args.trace:
-        with obs.tracing() as tracer:
-            with obs.span("events", policy=args.policy):
-                result = dispatcher.run(seed=args.seed)
-        _finish_trace(
-            tracer, args, tag="events",
-            scenario=f"{args.policy}:{args.market}",
-        )
-    else:
-        result = dispatcher.run(seed=args.seed)
-    mean_wait = result.latency_summary().get("mean", float("nan"))
-    print(
-        f"posted {result.posted_tasks} | filled {result.assignments} "
-        f"({100 * result.fill_rate:.1f}%) | expired {result.expired_tasks}"
+    return _run_dispatcher(
+        args,
+        StreamDispatcher(load_market(args.market), config),
+        tag="events",
+        scenario=f"{args.policy}:{args.market}",
+        span="events",
     )
-    print(
-        f"combined benefit {result.combined_benefit:.3f} | mean wait "
-        f"{mean_wait:.2f}"
-    )
-    return 0
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    import contextlib
-
     from repro.spec import compile_stream
-    from repro.stream import BatchWriter, StreamDispatcher
+    from repro.stream import StreamDispatcher
 
     compiled = compile_stream(args.spec)
-    dispatcher = StreamDispatcher(
-        compiled.market,
-        compiled.config,
-        combiner=compiled.combiner,
-        scenario=compiled.scenario,
+    return _run_dispatcher(
+        args,
+        StreamDispatcher(
+            compiled.market,
+            compiled.config,
+            combiner=compiled.combiner,
+            scenario=compiled.scenario,
+        ),
+        tag="stream",
+        scenario=f"{compiled.config.policy}:{args.spec}",
     )
 
+
+def _run_dispatcher(
+    args: argparse.Namespace,
+    dispatcher,
+    tag: str,
+    scenario: str,
+    span: str | None = None,
+) -> int:
+    """Drain a dispatcher for ``repro stream``/``repro events`` with
+    their shared options (absent ones count as off) and print the run
+    summary; ``span`` wraps a traced run."""
+    import contextlib
+
+    from repro.stream import BatchWriter
+
+    output = getattr(args, "output", None)
+    live = getattr(args, "live", False)
     emitted = 0
 
-    def make_on_record(writer):
-        def on_record(record) -> None:
-            nonlocal emitted
-            emitted += 1
-            if writer is not None:
-                writer.write(record)
-            if args.live and emitted % 100 == 0:
-                print(
-                    f"[stream] {emitted} assignments "
-                    f"(t={record.time:.2f}, wait={record.wait:.2f})",
-                    flush=True,
-                )
-
-        return on_record
-
-    with contextlib.ExitStack() as stack:
-        writer = None
-        if args.output:
-            writer = stack.enter_context(
-                BatchWriter(
-                    args.output, batch_size=compiled.config.writer_batch
-                )
+    def on_record(record) -> None:
+        nonlocal emitted
+        emitted += 1
+        if writer is not None:
+            writer.write(record)
+        if live and emitted % 100 == 0:
+            print(
+                f"[stream] {emitted} assignments "
+                f"(t={record.time:.2f}, wait={record.wait:.2f})",
+                flush=True,
             )
-        on_record = make_on_record(writer)
-        if args.trace or args.profile:
-            tracer = obs.Tracer()
-            with obs.tracing(tracer):
-                with _profiling(args, tracer) as profiler:
-                    result = dispatcher.run(
-                        seed=args.seed, on_record=on_record
-                    )
-            if args.trace:
-                _finish_trace(
-                    tracer, args, tag="stream",
-                    scenario=f"{compiled.config.policy}:{args.spec}",
+
+    profiler = None
+    with contextlib.ExitStack() as stack:
+        writer = (
+            stack.enter_context(
+                BatchWriter(output, batch_size=dispatcher.config.writer_batch)
+            )
+            if output
+            else None
+        )
+        if args.trace or getattr(args, "profile", None):
+            tracer = stack.enter_context(obs.tracing(obs.Tracer()))
+            profiler = stack.enter_context(_profiling(args, tracer))
+            if span:
+                stack.enter_context(
+                    obs.span(span, policy=dispatcher.config.policy)
                 )
-            _finish_profile(profiler, args)
-        else:
-            result = dispatcher.run(seed=args.seed, on_record=on_record)
+        result = dispatcher.run(seed=args.seed, on_record=on_record)
+    if args.trace:
+        _finish_trace(tracer, args, tag=tag, scenario=scenario)
+    _finish_profile(profiler, args)
 
     if result.round_result is not None:
         rounds = result.round_result.rounds
@@ -1099,8 +1097,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         f"{result.assignments_per_second:.0f} assignments/s "
         f"({result.wall_time:.2f}s wall)"
     )
-    if args.output:
-        print(f"wrote {emitted} records to {args.output}")
+    if output:
+        print(f"wrote {emitted} records to {output}")
     return 0
 
 

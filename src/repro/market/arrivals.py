@@ -33,6 +33,10 @@ class Arrival:
     time: float
 
 
+#: Poisson gaps drawn per ``exponential`` call.
+_CHUNK = 1024
+
+
 class ArrivalProcess(abc.ABC):
     """Turns ``n`` entities into an ordered arrival stream."""
 
@@ -59,12 +63,25 @@ class PoissonArrivals(ArrivalProcess):
         self.rate = rate
 
     def stream(self, n: int, seed: SeedLike = None) -> Iterator[Arrival]:
+        # Gaps are drawn a chunk at a time: a vector ``exponential``
+        # draw consumes the generator exactly like as many scalar
+        # draws, and ``cumsum`` seeded with the running clock adds
+        # them in the same order, so the stream (and the generator's
+        # state once it is drained) is bit-identical to drawing one
+        # gap per arrival.  Chunking keeps memory flat for large n.
         rng = as_rng(seed)
         order = rng.permutation(n)
+        scale = 1.0 / self.rate
         time = 0.0
-        for index in order:
-            time += rng.exponential(1.0 / self.rate)
-            yield Arrival(int(index), time)
+        for start in range(0, n, _CHUNK):
+            gaps = rng.exponential(scale, size=min(_CHUNK, n - start))
+            times = np.cumsum(np.concatenate(([time], gaps)))[1:]
+            time = float(times[-1])
+            yield from map(
+                Arrival,
+                order[start : start + _CHUNK].tolist(),
+                times.tolist(),
+            )
 
 
 class BatchArrivals(ArrivalProcess):

@@ -23,7 +23,6 @@ from repro.stream.dispatch import (
     StreamDispatcher,
 )
 from repro.stream.events import (
-    AssignmentEmitted,
     StreamEvent,
     TaskExpired,
     TaskPosted,
@@ -40,13 +39,12 @@ from repro.stream.policies import (
     SamplePricePolicy,
     make_policy,
 )
-from repro.stream.sessions import SessionGrant, SessionLedger
+from repro.stream.sessions import SessionLedger
 from repro.stream.writer import BatchWriter
 
 __all__ = [
     "DISPATCH_POLICIES",
     "ONLINE_POLICIES",
-    "AssignmentEmitted",
     "AssignmentRecord",
     "BatchWriter",
     "DispatchConfig",
@@ -56,7 +54,6 @@ __all__ = [
     "GreedyPolicy",
     "MicroBatchPolicy",
     "SamplePricePolicy",
-    "SessionGrant",
     "SessionLedger",
     "StreamDispatcher",
     "StreamEvent",

@@ -1,9 +1,11 @@
 """A deterministic synchronous event bus.
 
-The dispatcher and the event simulator publish
-:mod:`repro.stream.events` objects; subscribers (policy hooks, metric
-recorders, the batch writer) receive them in subscription order,
-synchronously, on the publisher's stack.  Synchronous delivery is a
+The streaming dispatcher publishes :mod:`repro.stream.events` objects
+(and each :class:`~repro.stream.metrics.AssignmentRecord`, as the
+``"assignment"`` event); subscribers — the dispatch policies — receive
+them in subscription order, synchronously, on the publisher's stack.
+The dispatcher keeps its own books inline and publishes a kind only
+when something subscribed to it.  Synchronous delivery is a
 deliberate choice: the simulated clock must not advance while an
 event's consequences are still pending, and handler order must be a
 pure function of subscription order for runs to be reproducible.

@@ -4,8 +4,9 @@ Tasks and workers arrive continuously through
 :mod:`repro.market.arrivals` processes; the dispatcher merges the two
 arrival streams with its internally scheduled events (task deadlines,
 session logouts, micro-batch window boundaries) into one global time
-order, publishes every event on an :class:`~repro.stream.bus.EventBus`,
-and lets the configured policy commit assignments at arrival instants.
+order, keeps its books inline, publishes on an
+:class:`~repro.stream.bus.EventBus` the kinds the configured policy
+subscribed to, and lets that policy commit assignments.
 Assignments are *emitted incrementally*: :meth:`StreamDispatcher.dispatch`
 is a generator yielding each
 :class:`~repro.stream.metrics.AssignmentRecord` the moment its event
@@ -44,8 +45,6 @@ from repro.market.arrivals import ArrivalProcess, PoissonArrivals
 from repro.market.market import LaborMarket
 from repro.stream.bus import EventBus
 from repro.stream.events import (
-    AssignmentEmitted,
-    StreamEvent,
     TaskExpired,
     TaskPosted,
     WindowFlush,
@@ -141,7 +140,7 @@ class DispatchRuntime:
 
     Policies never mutate the open pool or the ledger directly — all
     commitment funnels through :meth:`assign`, which validates,
-    updates the books, and publishes the ``assignment`` event.
+    updates the books, and emits the assignment record.
     """
 
     def __init__(
@@ -149,6 +148,8 @@ class DispatchRuntime:
         config: DispatchConfig,
         rows: RowwiseBenefit,
         bus: EventBus,
+        result: StreamResult | None = None,
+        telemetry: "_Telemetry | None" = None,
     ) -> None:
         self.config = config
         self.rows = rows
@@ -156,6 +157,15 @@ class DispatchRuntime:
         self.ledger = SessionLedger()
         #: task_index -> posted_at for unassigned, unexpired tasks.
         self.open: dict[int, float] = {}
+        self.result = result if result is not None else StreamResult()
+        #: Records emitted since the dispatch loop last drained them.
+        self.pending: list[AssignmentRecord] = []
+        self._scrape = (
+            telemetry._assignments.append if telemetry is not None else None
+        )
+        #: Whether any handler subscribed to ``"assignment"``; set by
+        #: the dispatch loop once the policy is bound.
+        self.publish_assignments = False
 
     def capacity(self, worker_index: int) -> int:
         return self.ledger.capacity(worker_index)
@@ -173,7 +183,7 @@ class DispatchRuntime:
 
     def online_array(self) -> np.ndarray:
         """Online workers with remaining capacity, presence order."""
-        return np.asarray(self.ledger.online(), dtype=np.int64)
+        return np.fromiter(self.ledger.online(), dtype=np.int64)
 
     def assign(
         self,
@@ -182,23 +192,25 @@ class DispatchRuntime:
         time: float,
         benefit: float,
     ) -> None:
-        """Commit one edge: book-keep and publish the event."""
+        """Commit one edge: book-keep and emit its record."""
         posted_at = self.open.pop(task_index, None)
         if posted_at is None:
             raise ValidationError(
                 f"task {task_index} is not open at time {time}"
             )
         self.ledger.consume(worker_index, 1)
-        self.bus.publish(
-            AssignmentEmitted(
-                time=time,
-                worker_index=worker_index,
-                task_index=task_index,
-                instance_id=task_index,
-                benefit=benefit,
-                posted_at=posted_at,
-            )
+        wait = time - posted_at
+        record = AssignmentRecord(
+            time, worker_index, task_index, benefit, wait
         )
+        result = self.result
+        result.records.append(record)
+        result.combined_benefit += benefit
+        self.pending.append(record)
+        if self._scrape is not None:
+            self._scrape((worker_index, benefit, wait))
+        if self.publish_assignments:
+            self.bus.publish(record)
 
 
 class _Telemetry:
@@ -241,11 +253,11 @@ class _Telemetry:
         #: float compare so the common no-crossing case costs one
         #: attribute read instead of a method call.
         self.boundary = float("-inf")
-        # Event-level buffers for the current window.  The bookkeeping
-        # handlers append to / add to these directly through bound
-        # methods (see _subscribe_bookkeeping) — ``_flush`` mutates
-        # them in place, never rebinds, so the bound methods stay
-        # valid for the whole run.
+        # Event-level buffers for the current window.  The dispatch
+        # loop's handlers and ``DispatchRuntime.assign`` append to /
+        # add to these directly through bound methods — ``_flush``
+        # mutates them in place, never rebinds, so the bound methods
+        # stay valid for the whole run.
         self._expired = 0
         self._dropped = 0
         #: Queue depth observed at each posting (len == posted count).
@@ -416,147 +428,161 @@ class StreamDispatcher:
         task_seed = int(rng.integers(2**31))
         worker_seed = int(rng.integers(2**31))
 
-        rows = RowwiseBenefit(self.market, combiner=self.combiner)
-        runtime = DispatchRuntime(config, rows, bus)
-        policy = make_policy(config, self.market.n_workers)
         result = StreamResult(policy=config.policy)
         self.last_result = result
-        # Records emitted by handlers, drained by the generator loop.
-        pending: list[AssignmentRecord] = []
-
         # Live telemetry rides the active tracer's windowed store
         # (created here at the default window width unless the run
         # owner — e.g. the monitor CLI — installed one already).
         store = obs.timeseries_store()
         telemetry = _Telemetry(store) if store is not None else None
-
-        # Record-keeping handlers subscribe FIRST so metrics reflect
-        # the pre-decision state (queue depth includes the new task
-        # before the policy may immediately assign it away).
-        self._subscribe_bookkeeping(
-            bus, runtime, result, pending, telemetry
+        runtime = DispatchRuntime(
+            config,
+            RowwiseBenefit(self.market, combiner=self.combiner),
+            bus,
+            result,
+            telemetry,
         )
+        policy = make_policy(config, self.market.n_workers)
         policy.bind(runtime, bus)
 
-        heap: list[tuple[float, int, StreamEvent]] = []
-        tiebreak = itertools.count()
+        # The books are kept inline below; an event object is built
+        # only for a kind some handler subscribed to.
+        publish = bus.publish
+        publish_posted = bus.subscribers(TaskPosted.kind) > 0
+        publish_login = bus.subscribers(WorkerLogin.kind) > 0
+        publish_logout = bus.subscribers(WorkerLogout.kind) > 0
+        publish_expired = bus.subscribers(TaskExpired.kind) > 0
+        publish_flush = bus.subscribers(WindowFlush.kind) > 0
+        runtime.publish_assignments = (
+            bus.subscribers(AssignmentRecord.kind) > 0
+        )
+        # Bound-method handles into the telemetry buffers: the per-event
+        # cost of the windowed scrape is one C-level append/add (the
+        # obs_overhead bench case gates the ratio).
+        if telemetry is not None:
+            scrape_depth = telemetry._depths.append
+            scrape_online = telemetry._online.add
+        else:
+            scrape_depth = scrape_online = None
+
+        open_tasks = runtime.open
+        ledger = runtime.ledger
+        workers = self.market.workers
+        pending = runtime.pending
+        deadline = config.deadline
+        session_length = config.session_length
+        max_open = config.max_open_tasks
         task_stream = self.task_arrivals.stream(
             self.market.n_tasks, seed=task_seed
         )
         worker_stream = self.worker_arrivals.stream(
             self.market.n_workers, seed=worker_seed
         )
+        # Heap entries are ``(time, seq, handler, arg)``; ``seq`` breaks
+        # time ties in push order, so handlers are never compared.
+        heap: list[tuple[float, int, object, int]] = []
+        seq = itertools.count()
+        push = heapq.heappush
 
-        def push(event: StreamEvent) -> None:
-            heapq.heappush(heap, (event.time, next(tiebreak), event))
-
-        def pull(stream, make_event) -> None:
+        def pull(stream, handler) -> None:
             arrival = next(stream, None)
             if arrival is not None:
-                push(make_event(arrival))
+                push(heap, (arrival.time, next(seq), handler, arrival.index))
 
-        def task_event(arrival) -> TaskPosted:
-            return TaskPosted(
-                time=arrival.time,
-                task_index=arrival.index,
-                instance_id=arrival.index,
+        def on_task(time: float, task: int) -> None:
+            pull(task_stream, on_task)
+            if max_open > 0 and len(open_tasks) >= max_open:
+                result.dropped_tasks += 1
+                if telemetry is not None:
+                    telemetry._dropped += 1
+                return
+            open_tasks[task] = time
+            push(heap, (time + deadline, next(seq), on_expire, task))
+            # Queue depth includes the new task, read before the
+            # policy may assign it away.
+            result.posted_tasks += 1
+            depth = len(open_tasks)
+            if depth > result.max_queue_depth:
+                result.max_queue_depth = depth
+            if scrape_depth is not None:
+                scrape_depth(depth)
+            if publish_posted:
+                publish(TaskPosted(time, task, task))
+
+        def on_login(time: float, index: int) -> None:
+            pull(worker_stream, on_login)
+            worker = workers[index]
+            if not worker.active:
+                result.skipped_logins += 1
+                return
+            session = ledger.login(index, worker.capacity)
+            push(
+                heap, (time + session_length, next(seq), on_logout, session)
             )
+            result.logins += 1
+            if scrape_online is not None:
+                scrape_online(index)
+            if publish_login:
+                publish(WorkerLogin(time, index, session))
 
-        def worker_event(arrival) -> WorkerLogin:
-            # The login handler opens the session and assigns its id.
-            return WorkerLogin(
-                time=arrival.time,
-                worker_index=arrival.index,
-                session_id=-1,
-            )
+        def on_expire(time: float, task: int) -> None:
+            if open_tasks.pop(task, None) is None:
+                return
+            result.expired_tasks += 1
+            if telemetry is not None:
+                telemetry._expired += 1
+            if publish_expired:
+                publish(TaskExpired(time, task))
 
-        pull(task_stream, task_event)
-        pull(worker_stream, worker_event)
+        def on_logout(time: float, session: int) -> None:
+            worker_index, _released = ledger.logout(session)
+            result.logouts += 1
+            if publish_logout:
+                publish(WorkerLogout(time, session, worker_index))
+
+        def on_flush(time: float, window: int) -> None:
+            if publish_flush:
+                publish(WindowFlush(time, window))
+            # Keep flushing only while arrivals can still come.
+            if heap or open_tasks:
+                push(
+                    heap,
+                    (time + config.batch_window, next(seq), on_flush,
+                     window + 1),
+                )
+
+        pull(task_stream, on_task)
+        pull(worker_stream, on_login)
         if config.policy == "micro-batch":
-            push(WindowFlush(time=config.batch_window, window_index=0))
+            push(heap, (config.batch_window, next(seq), on_flush, 0))
 
-        def handle(event: StreamEvent) -> None:
-            if isinstance(event, TaskPosted):
-                pull(task_stream, task_event)
-                if (
-                    config.max_open_tasks > 0
-                    and len(runtime.open) >= config.max_open_tasks
-                ):
-                    result.dropped_tasks += 1
-                    if telemetry is not None:
-                        telemetry._dropped += 1
-                    return
-                runtime.open[event.task_index] = event.time
-                push(
-                    TaskExpired(
-                        time=event.time + config.deadline,
-                        instance_id=event.task_index,
-                    )
-                )
-                bus.publish(event)
-            elif isinstance(event, WorkerLogin):
-                pull(worker_stream, worker_event)
-                worker = self.market.workers[event.worker_index]
-                if not worker.active:
-                    result.skipped_logins += 1
-                    return
-                session_id = runtime.ledger.login(
-                    event.worker_index,
-                    worker.capacity,
-                    expires_at=event.time + config.session_length,
-                )
-                push(
-                    WorkerLogout(
-                        time=event.time + config.session_length,
-                        session_id=session_id,
-                        worker_index=event.worker_index,
-                    )
-                )
-                bus.publish(
-                    WorkerLogin(
-                        time=event.time,
-                        worker_index=event.worker_index,
-                        session_id=session_id,
-                    )
-                )
-            elif isinstance(event, TaskExpired):
-                if event.instance_id in runtime.open:
-                    del runtime.open[event.instance_id]
-                    bus.publish(event)
-            elif isinstance(event, WorkerLogout):
-                runtime.ledger.logout(event.session_id)
-                bus.publish(event)
-            elif isinstance(event, WindowFlush):
-                # Keep flushing only while arrivals can still come.
-                bus.publish(event)
-                if heap or runtime.open:
-                    push(
-                        WindowFlush(
-                            time=event.time + config.batch_window,
-                            window_index=event.window_index + 1,
-                        )
-                    )
-
+        pop = heapq.heappop
         clock = 0.0
-        while heap:
-            clock, _tie, event = heapq.heappop(heap)
-            if telemetry is not None and clock >= telemetry.boundary:
-                telemetry.advance(clock, runtime)
-            handle(event)
+        try:
+            while heap:
+                clock, _seq, handler, arg = pop(heap)
+                if telemetry is not None and clock >= telemetry.boundary:
+                    telemetry.advance(clock, runtime)
+                handler(clock, arg)
+                if pending:
+                    yield from pending
+                    pending.clear()
+
+            policy.finish(clock)
             if pending:
                 yield from pending
                 pending.clear()
-
-        policy.finish(clock)
-        if pending:
-            yield from pending
-            pending.clear()
+        finally:
+            # Handlers on the heap and in each other's closures form
+            # reference cycles; break them so an abandoned stream is
+            # freed without a cyclic collection.
+            heap.clear()
+            on_task = on_login = on_expire = on_logout = on_flush = None
         # Flat obs counters are recorded once from the run totals:
         # a counter call per event is measurable on the dispatch hot
         # path (the obs_overhead bench case gates the ratio), and the
-        # end-of-run sums are identical.  ``stream.expired`` must be
-        # flushed before unexpired open tasks are folded into the
-        # result total below — the counter tracks deadline *events*.
+        # end-of-run sums are identical.  Every posted task's deadline
+        # was on the heap, so no task is still open here.
         for name, total in (
             ("stream.posted", result.posted_tasks),
             ("stream.assigned", len(result.records)),
@@ -569,72 +595,10 @@ class StreamDispatcher:
             if total:
                 obs.count(name, total)
         bus.flush_metrics()
-        result.expired_tasks += len(runtime.open)
-        runtime.open.clear()
         result.end_time = clock
         if telemetry is not None:
             telemetry.finish(runtime)
         self._publish_summary(result)
-
-    def _subscribe_bookkeeping(
-        self,
-        bus: EventBus,
-        runtime: DispatchRuntime,
-        result: StreamResult,
-        pending: list[AssignmentRecord],
-        telemetry: _Telemetry | None = None,
-    ) -> None:
-        # Bound-method handles into the telemetry buffers: the per-event
-        # cost of the windowed scrape is one C-level append/add (the
-        # obs_overhead bench case gates the ratio).
-        if telemetry is not None:
-            scrape_depth = telemetry._depths.append
-            scrape_online = telemetry._online.add
-            scrape_assignment = telemetry._assignments.append
-        else:
-            scrape_depth = scrape_online = scrape_assignment = None
-
-        def on_posted(event: TaskPosted) -> None:
-            result.posted_tasks += 1
-            depth = len(runtime.open)
-            result.max_queue_depth = max(result.max_queue_depth, depth)
-            if scrape_depth is not None:
-                scrape_depth(depth)
-
-        def on_login(event: WorkerLogin) -> None:
-            result.logins += 1
-            if scrape_online is not None:
-                scrape_online(event.worker_index)
-
-        def on_logout(event: WorkerLogout) -> None:
-            result.logouts += 1
-
-        def on_expired(event: TaskExpired) -> None:
-            result.expired_tasks += 1
-            if telemetry is not None:
-                telemetry._expired += 1
-
-        def on_assignment(event: AssignmentEmitted) -> None:
-            record = AssignmentRecord(
-                time=event.time,
-                worker_index=event.worker_index,
-                task_index=event.task_index,
-                benefit=event.benefit,
-                wait=event.wait,
-            )
-            result.records.append(record)
-            result.combined_benefit += event.benefit
-            pending.append(record)
-            if scrape_assignment is not None:
-                scrape_assignment(
-                    (event.worker_index, event.benefit, event.wait)
-                )
-
-        bus.subscribe("task-posted", on_posted)
-        bus.subscribe("worker-login", on_login)
-        bus.subscribe("worker-logout", on_logout)
-        bus.subscribe("task-deadline", on_expired)
-        bus.subscribe("assignment", on_assignment)
 
     def _publish_summary(self, result: StreamResult) -> None:
         """Exact latency percentiles and throughput as obs gauges."""

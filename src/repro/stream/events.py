@@ -2,9 +2,11 @@
 
 Every event is a small frozen dataclass with a class-level ``kind``
 string — the bus routes on ``kind``, handlers read the typed fields.
-The continuous dispatcher (:mod:`repro.stream.dispatch`) pops its
-event heap and publishes each event here; policies and bookkeeping
-subscribe to them.
+The continuous dispatcher (:mod:`repro.stream.dispatch`) keeps its own
+books and builds one of these only to publish it to a subscriber (a
+policy); kinds nobody subscribed to are never built.  The
+``"assignment"`` event is the emitted
+:class:`~repro.stream.metrics.AssignmentRecord` itself.
 
 Time semantics: ``time`` is simulated market time (the arrival
 process's clock), never wall-clock time.
@@ -50,7 +52,7 @@ class TaskExpired(StreamEvent):
 
 @dataclass(frozen=True)
 class WorkerLogin(StreamEvent):
-    """A worker session began; its capacity grant is session-scoped."""
+    """A worker logged in; ``session_id`` names the session opened."""
 
     kind: ClassVar[str] = "worker-login"
 
@@ -60,12 +62,7 @@ class WorkerLogin(StreamEvent):
 
 @dataclass(frozen=True)
 class WorkerLogout(StreamEvent):
-    """A worker session ended.
-
-    Keyed by ``session_id``, not worker index: with overlapping
-    sessions only *this* session's remaining capacity grant is
-    withdrawn (the bug the session ledger exists to prevent).
-    """
+    """A worker session ended; its remaining capacity is withdrawn."""
 
     kind: ClassVar[str] = "worker-logout"
 
@@ -80,21 +77,3 @@ class WindowFlush(StreamEvent):
     kind: ClassVar[str] = "window-flush"
 
     window_index: int
-
-
-@dataclass(frozen=True)
-class AssignmentEmitted(StreamEvent):
-    """A (worker, task) edge was committed by the dispatch policy."""
-
-    kind: ClassVar[str] = "assignment"
-
-    worker_index: int
-    task_index: int
-    instance_id: int
-    benefit: float
-    posted_at: float
-
-    @property
-    def wait(self) -> float:
-        """Time-to-assignment: how long the task queued."""
-        return self.time - self.posted_at

@@ -106,7 +106,7 @@ class GreedyPolicy(DispatchPolicy):
         if workers.size == 0:
             return
         benefits = runtime.rows.column(event.task_index, workers)
-        best = int(np.argmax(benefits))
+        best = int(benefits.argmax())
         if float(benefits[best]) <= 0.0:
             return
         runtime.assign(
@@ -216,7 +216,7 @@ class SamplePricePolicy(GreedyPolicy):
         if workers.size == 0:
             return
         benefits = runtime.rows.column(event.task_index, workers)
-        best = int(np.argmax(benefits))
+        best = int(benefits.argmax())
         # A freshly posted task is at full price.
         if float(benefits[best]) <= max(self.price, 0.0):
             return

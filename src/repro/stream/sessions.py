@@ -1,134 +1,106 @@
-"""Session-scoped worker capacity accounting.
+"""Per-worker capacity accounting for the workers currently online.
 
-A worker's capacity is granted per *session* (login), not per worker:
-when sessions overlap — a worker logs in again before a prior logout
-fires — each logout must withdraw only the remaining capacity of its
-own session.  The previous accounting (a flat ``worker -> capacity``
-dict whose logout did ``pop(worker)``) destroyed the second session's
-grant at the first logout; this ledger is the fix.  The streaming
-dispatcher logs each worker in once per arrival, and every arrival
-process yields each worker exactly once, so its sessions never
-overlap today.
+Each arrival process yields every worker exactly once, so a worker has
+at most one open session: the ledger keeps, per online worker, the
+open session's id and the capacity it has left.  Logging in a worker
+who is already online raises :class:`~repro.errors.ValidationError`
+rather than silently merging or dropping a grant — re-logins would
+need a new arrival contract, and this ledger with it.
 
-Consumption order is earliest-expiring-first: using up the grant that
-dies soonest preserves the most future capacity, and makes the ledger
-behave exactly like the old flat dict whenever sessions do not
-overlap (so historical single-session runs stay bit-identical).
+:meth:`SessionLedger.online` lists the workers with capacity left in
+the order their sessions began; a worker who logs out and back in
+joins the end of that order.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from repro.errors import ValidationError
 
 
-@dataclass
-class SessionGrant:
-    """One login's capacity grant."""
-
-    session_id: int
-    worker_index: int
-    remaining: int
-    expires_at: float
-
-
 class SessionLedger:
-    """Tracks per-session capacity grants for online workers."""
+    """Tracks the open session and remaining capacity of each worker."""
 
     def __init__(self) -> None:
-        self._grants: dict[int, SessionGrant] = {}
-        #: worker -> session ids with remaining capacity, login order.
-        self._by_worker: dict[int, list[int]] = {}
-        #: Workers with positive total capacity, in the order their
-        #: current online presence began (mirrors the insertion-order
-        #: semantics of the flat dict this ledger replaced).
-        self._active_order: dict[int, None] = {}
+        #: worker -> open session id.
+        self._session: dict[int, int] = {}
+        #: open session id -> worker.
+        self._worker: dict[int, int] = {}
+        #: worker -> remaining capacity, only while it is positive;
+        #: insertion order is online-presence order.
+        self._remaining: dict[int, int] = {}
         self._ids = itertools.count()
 
     # -- session lifecycle -------------------------------------------------
 
     def login(
-        self, worker_index: int, capacity: int, expires_at: float
+        self,
+        worker_index: int,
+        capacity: int,
+        expires_at: float | None = None,
     ) -> int:
-        """Open a session granting ``capacity`` units; returns its id."""
+        """Open a session granting ``capacity`` units; returns its id.
+
+        ``expires_at`` is accepted for callers that know the session
+        end; the ledger never orders by it.
+        """
         if capacity < 0:
             raise ValidationError(
                 f"session capacity must be >= 0, got {capacity}"
             )
+        if worker_index in self._session:
+            raise ValidationError(
+                f"worker {worker_index} is already online in session "
+                f"{self._session[worker_index]}"
+            )
         session_id = next(self._ids)
-        self._grants[session_id] = SessionGrant(
-            session_id, worker_index, capacity, expires_at
-        )
-        self._by_worker.setdefault(worker_index, []).append(session_id)
-        if capacity > 0 and worker_index not in self._active_order:
-            self._active_order[worker_index] = None
+        self._session[worker_index] = session_id
+        self._worker[session_id] = worker_index
+        if capacity > 0:
+            self._remaining[worker_index] = capacity
         return session_id
 
     def logout(self, session_id: int) -> tuple[int, int]:
-        """Withdraw one session's remaining grant.
+        """Close a session and withdraw its remaining capacity.
 
-        Returns ``(worker_index, capacity_released)``.  Other sessions
-        of the same worker are untouched — that is the whole point.
-        Unknown or already-closed sessions release zero (idempotent,
-        like the old ``pop(entity, None)``).
+        Returns ``(worker_index, capacity_released)``.  Unknown or
+        already-closed sessions release nothing: ``(-1, 0)``.
         """
-        grant = self._grants.pop(session_id, None)
-        if grant is None:
+        worker_index = self._worker.pop(session_id, None)
+        if worker_index is None:
             return (-1, 0)
-        sessions = self._by_worker.get(grant.worker_index, [])
-        if session_id in sessions:
-            sessions.remove(session_id)
-        if self.capacity(grant.worker_index) <= 0:
-            self._active_order.pop(grant.worker_index, None)
-            if not sessions:
-                self._by_worker.pop(grant.worker_index, None)
-        return (grant.worker_index, grant.remaining)
+        del self._session[worker_index]
+        return (worker_index, self._remaining.pop(worker_index, 0))
 
     # -- capacity ----------------------------------------------------------
 
     def capacity(self, worker_index: int) -> int:
-        """Total remaining capacity across the worker's open sessions."""
-        ids = self._by_worker.get(worker_index)
-        if not ids:
-            return 0
-        total = 0
-        for sid in ids:
-            total += self._grants[sid].remaining
-        return total
+        """Remaining capacity of the worker's open session (0 if none)."""
+        return self._remaining.get(worker_index, 0)
 
     def consume(self, worker_index: int, amount: int = 1) -> None:
-        """Use up ``amount`` units, earliest-expiring session first."""
+        """Use up ``amount`` units of the worker's open session."""
         if amount <= 0:
             return
-        ids = self._by_worker.get(worker_index, [])
-        open_grants = sorted(
-            (self._grants[sid] for sid in ids),
-            key=lambda g: (g.expires_at, g.session_id),
-        )
-        for grant in open_grants:
-            if amount <= 0:
-                break
-            used = min(grant.remaining, amount)
-            grant.remaining -= used
-            amount -= used
-        if amount > 0:
+        left = self._remaining.get(worker_index, 0) - amount
+        if left < 0:
             raise ValidationError(
                 f"worker {worker_index} has no capacity left to consume"
             )
-        if self.capacity(worker_index) <= 0:
-            self._active_order.pop(worker_index, None)
+        if left:
+            self._remaining[worker_index] = left
+        else:
+            del self._remaining[worker_index]
 
     def online(self) -> list[int]:
         """Workers with positive capacity, in online-presence order."""
-        return list(self._active_order)
+        return list(self._remaining)
 
     def session_worker(self, session_id: int) -> int | None:
         """Worker owning an open session, or ``None`` if closed."""
-        grant = self._grants.get(session_id)
-        return None if grant is None else grant.worker_index
+        return self._worker.get(session_id)
 
     def open_sessions(self) -> int:
         """Number of sessions not yet logged out."""
-        return len(self._grants)
+        return len(self._worker)

@@ -1,11 +1,28 @@
 """Tests for arrival processes."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.market.arrivals import BatchArrivals, PoissonArrivals, TraceArrivals
+from repro.market.arrivals import (
+    Arrival,
+    BatchArrivals,
+    PoissonArrivals,
+    TraceArrivals,
+)
+
+
+def _scalar_poisson(rate, n, rng):
+    """One exponential draw per arrival: the chunked stream's reference."""
+    order = rng.permutation(n)
+    time = 0.0
+    out = []
+    for index in order:
+        time += rng.exponential(1.0 / rate)
+        out.append(Arrival(int(index), time))
+    return out
 
 
 class TestPoissonArrivals:
@@ -33,6 +50,31 @@ class TestPoissonArrivals:
     @given(st.integers(min_value=0, max_value=100))
     def test_every_size_is_permutation(self, n):
         assert sorted(PoissonArrivals().order(n, seed=0)) == list(range(n))
+
+
+    @pytest.mark.parametrize("rate", [0.3, 4.0, 80.0])
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 3000])
+    def test_chunked_stream_matches_scalar_draws(self, rate, n):
+        for seed in (0, 1):
+            stream = list(PoissonArrivals(rate).stream(n, seed=seed))
+            assert stream == _scalar_poisson(
+                rate, n, np.random.default_rng(seed)
+            )
+            assert all(
+                type(a.index) is int and type(a.time) is float
+                for a in stream
+            )
+
+    @pytest.mark.parametrize("n", [5, 1024, 2500])
+    def test_shared_generator_state_matches_scalar_draws(self, n):
+        # Online solvers draw their arrival order from the run's shared
+        # generator and keep using it afterwards.
+        shared = np.random.default_rng(11)
+        reference = np.random.default_rng(11)
+        order = PoissonArrivals(2.0).order(n, shared)
+        expected = _scalar_poisson(2.0, n, reference)
+        assert order == [a.index for a in expected]
+        assert shared.bit_generator.state == reference.bit_generator.state
 
 
 class TestBatchArrivals:

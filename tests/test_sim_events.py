@@ -147,40 +147,47 @@ class TestRun:
         assert counters["stream.logouts"] == result.logins
 
 
-class TestOverlappingSessions:
-    """Regression: overlapping logins of the same worker.
+class TestSingleSession:
+    """A worker has one session at a time.
 
-    The old accounting kept one flat ``worker -> capacity`` dict and
-    logged out with ``pop(worker, None)``, so when a worker logged in
-    again before their first session ended, the *first* logout
-    destroyed the capacity the *second* login had granted.  The
-    dispatcher's runtime books capacity in a per-session ledger.
-    Arrival processes yield each worker once, so the overlap is
-    scripted on the runtime directly.
+    Arrival processes yield each worker once, so the dispatcher never
+    logs an online worker in again; the ledger refuses it outright.
+    Logging back in after a logout opens a fresh grant, and the
+    runtime books each assignment as one record that is also the
+    published ``assignment`` event.  Scripted on the runtime directly.
     """
 
-    def test_second_session_survives_first_logout(self):
+    def test_relogin_after_logout_gets_a_fresh_grant(self):
         market = _market(seed=0, n_workers=3, n_tasks=3)
+        bus = EventBus()
+        published = []
+        bus.subscribe("assignment", published.append)
         runtime = DispatchRuntime(
             DispatchConfig(session_length=5.0, deadline=4.0),
             RowwiseBenefit(market),
-            EventBus(),
+            bus,
         )
+        runtime.publish_assignments = True
         # Worker 0's best task, guaranteed assignable.
         combined = build_benefit_matrices(market).combined
         task = int(np.argmax(combined[0]))
         assert combined[0, task] > 0
         capacity = market.workers[0].capacity
-        # Login at 0.0 (session ends 5.0) and again at 1.0 (ends 6.0);
-        # the task arrives at 5.5 — inside the second session only.
         first = runtime.ledger.login(0, capacity, expires_at=5.0)
-        runtime.ledger.login(0, capacity, expires_at=6.0)
+        with pytest.raises(ValidationError):
+            runtime.ledger.login(0, capacity, expires_at=6.0)
         assert runtime.ledger.logout(first) == (0, capacity)
+        runtime.ledger.login(0, capacity, expires_at=10.5)
         runtime.open[task] = 5.5
         assert runtime.online_array().tolist() == [0]
-        runtime.assign(0, task, 5.5, float(combined[0, task]))
+        runtime.assign(0, task, 6.0, float(combined[0, task]))
         assert runtime.capacity(0) == capacity - 1
         assert task not in runtime.open
+        (record,) = runtime.result.records
+        assert record.wait == 0.5
+        assert runtime.pending[0] is record
+        assert published[0] is record
+        assert runtime.result.combined_benefit == record.benefit
 
 
 class TestSkippedLoginLogged:

@@ -279,6 +279,83 @@ class TestOnlinePolicies:
         for key in ("p50", "p95", "p99"):
             assert gauges[f"stream.latency.{key}"] == summary[key]
 
+    # Recorded StreamResult tallies of the same seeded runs: (posted,
+    # expired, logins, logouts, max_queue_depth).
+    PINNED_TALLIES = {
+        "greedy": (60, 0, 40, 40, 5),
+        "sample-price": (60, 7, 40, 40, 13),
+        "micro-batch": (60, 0, 40, 40, 10),
+    }
+
+    @staticmethod
+    def _pinned_run(policy):
+        market = generate_market(
+            SyntheticConfig(n_workers=40, n_tasks=60), seed=5
+        )
+        config = DispatchConfig(
+            policy=policy,
+            task_rate=6.0,
+            worker_rate=2.0,
+            deadline=4.0,
+            session_length=3.0,
+        )
+        return StreamDispatcher(market, config).run(seed=13)
+
+    @pytest.mark.parametrize(
+        "policy", ["greedy", "sample-price", "micro-batch"]
+    )
+    def test_result_tallies_are_pinned(self, policy):
+        result = self._pinned_run(policy)
+        assert (
+            result.posted_tasks,
+            result.expired_tasks,
+            result.logins,
+            result.logouts,
+            result.max_queue_depth,
+        ) == self.PINNED_TALLIES[policy]
+        assert result.dropped_tasks == result.skipped_logins == 0
+
+    def test_policy_subscribed_to_deadlines_and_logouts_sees_them_all(
+        self, monkeypatch
+    ):
+        """Kinds the built-in policies ignore are still delivered to a
+        policy that subscribes to them."""
+        seen = {"task-deadline": [], "worker-logout": [], "worker-login": []}
+
+        class Watching(SamplePricePolicy):
+            def bind(self, runtime, bus):
+                super().bind(runtime, bus)
+                for kind, events in seen.items():
+                    bus.subscribe(kind, events.append)
+
+        def make_watching(config, n_workers):
+            return Watching(make_policy(config, n_workers).sample_cutoff)
+
+        baseline = self._pinned_run("sample-price")
+        monkeypatch.setattr(
+            "repro.stream.dispatch.make_policy", make_watching
+        )
+        result = self._pinned_run("sample-price")
+        assert _pairs(result) == _pairs(baseline)
+        expired = seen["task-deadline"]
+        assert len(expired) == result.expired_tasks == 7
+        assigned = {r.task_index for r in result.records}
+        assert not {e.instance_id for e in expired} & assigned
+        logins = {e.session_id: e.worker_index for e in seen["worker-login"]}
+        logouts = seen["worker-logout"]
+        assert len(logouts) == result.logouts == len(logins)
+        for event in logouts:
+            assert logins.pop(event.session_id) == event.worker_index
+
+    def test_only_subscribed_kinds_are_published(self):
+        """Greedy subscribes to postings and logins only; deadlines,
+        logouts and assignments are booked without a bus event."""
+        with obs.tracing() as tracer:
+            result = self._pinned_run("greedy")
+        assert tracer.metrics.counters["stream.bus.published"] == (
+            result.posted_tasks + result.logins
+        )
+
     def test_micro_batch_windows_are_submarket_blocks(self, monkeypatch):
         """Each window's block equals the benefits of the submarket of
         its online workers and open tasks; no market is built and no

@@ -1,4 +1,4 @@
-"""Tests for session-scoped worker capacity accounting."""
+"""Tests for per-worker session capacity accounting."""
 
 import pytest
 
@@ -51,48 +51,49 @@ class TestLifecycle:
         assert ledger.session_worker(sid) is None
 
 
-class TestOverlappingSessions:
-    """The bug this ledger exists to fix: a flat ``worker -> capacity``
-    dict whose logout does ``pop(worker)`` lets the *first* logout
-    destroy the capacity the *second* login granted."""
+class TestSingleSession:
+    """Each worker has at most one open session: a second login while
+    the first is open is an error, never a silent re-grant."""
 
-    def test_first_logout_leaves_second_grant(self):
+    def test_second_login_of_online_worker_raises(self):
+        ledger = SessionLedger()
+        ledger.login(0, capacity=1, expires_at=5.0)
+        with pytest.raises(ValidationError, match="already online"):
+            ledger.login(0, capacity=1, expires_at=6.0)
+
+    def test_second_login_leaves_the_open_session_intact(self):
+        ledger = SessionLedger()
+        sid = ledger.login(0, capacity=2, expires_at=5.0)
+        with pytest.raises(ValidationError):
+            ledger.login(0, capacity=3, expires_at=9.0)
+        assert ledger.capacity(0) == 2
+        assert ledger.open_sessions() == 1
+        assert ledger.logout(sid) == (0, 2)
+
+    def test_zero_capacity_session_still_blocks_a_second_login(self):
+        ledger = SessionLedger()
+        ledger.login(0, capacity=0, expires_at=5.0)
+        with pytest.raises(ValidationError):
+            ledger.login(0, capacity=1, expires_at=6.0)
+
+    def test_relogin_after_logout_opens_a_fresh_session(self):
         ledger = SessionLedger()
         first = ledger.login(0, capacity=1, expires_at=5.0)
-        ledger.login(0, capacity=1, expires_at=6.0)
+        ledger.consume(0, 1)
+        assert ledger.logout(first) == (0, 0)
+        second = ledger.login(0, capacity=2, expires_at=9.0)
+        assert second != first
         assert ledger.capacity(0) == 2
-        worker, released = ledger.logout(first)
-        assert (worker, released) == (0, 1)
-        # The second session's grant survives.
-        assert ledger.capacity(0) == 1
-        assert ledger.online() == [0]
-
-    def test_each_logout_withdraws_only_its_own_grant(self):
-        ledger = SessionLedger()
-        a = ledger.login(0, capacity=2, expires_at=5.0)
-        b = ledger.login(0, capacity=3, expires_at=9.0)
-        assert ledger.logout(b) == (0, 3)
-        assert ledger.capacity(0) == 2
-        assert ledger.logout(a) == (0, 2)
-        assert ledger.capacity(0) == 0
+        assert ledger.session_worker(second) == 0
 
 
 class TestConsume:
-    def test_earliest_expiring_session_consumed_first(self):
+    def test_consume_draws_down_the_open_session(self):
         ledger = SessionLedger()
-        late = ledger.login(0, capacity=1, expires_at=10.0)
-        early = ledger.login(0, capacity=1, expires_at=2.0)
-        ledger.consume(0, 1)
-        # The soon-to-expire grant is used up; the late one survives.
-        assert ledger.logout(early) == (0, 0)
-        assert ledger.logout(late) == (0, 1)
-
-    def test_consume_spans_sessions(self):
-        ledger = SessionLedger()
-        ledger.login(0, capacity=1, expires_at=1.0)
-        ledger.login(0, capacity=2, expires_at=2.0)
+        sid = ledger.login(0, capacity=3, expires_at=2.0)
         ledger.consume(0, 2)
         assert ledger.capacity(0) == 1
+        assert ledger.logout(sid) == (0, 1)
 
     def test_exhausted_worker_leaves_online_order(self):
         ledger = SessionLedger()
@@ -107,6 +108,14 @@ class TestConsume:
         with pytest.raises(ValidationError):
             ledger.consume(0, 2)
 
+    def test_failed_consume_leaves_capacity(self):
+        ledger = SessionLedger()
+        ledger.login(0, capacity=2, expires_at=1.0)
+        with pytest.raises(ValidationError):
+            ledger.consume(0, 3)
+        assert ledger.capacity(0) == 2
+        assert ledger.online() == [0]
+
     def test_consume_without_session_raises(self):
         ledger = SessionLedger()
         with pytest.raises(ValidationError):
@@ -120,12 +129,17 @@ class TestConsume:
 
 
 class TestOnlineOrder:
-    def test_presence_order_is_first_login_order(self):
+    def test_presence_order_survives_logout_and_relogin(self):
         ledger = SessionLedger()
         ledger.login(5, capacity=1, expires_at=9.0)
-        ledger.login(2, capacity=1, expires_at=9.0)
-        ledger.login(5, capacity=1, expires_at=9.0)
-        assert ledger.online() == [5, 2]
+        two = ledger.login(2, capacity=1, expires_at=9.0)
+        ledger.login(7, capacity=1, expires_at=9.0)
+        ledger.logout(two)
+        assert ledger.online() == [5, 7]
+        ledger.login(2, capacity=1, expires_at=12.0)
+        ledger.login(3, capacity=1, expires_at=12.0)
+        # The re-login joins the end; the others keep their places.
+        assert ledger.online() == [5, 7, 2, 3]
 
     def test_zero_capacity_login_not_online(self):
         ledger = SessionLedger()
