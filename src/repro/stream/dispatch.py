@@ -19,7 +19,12 @@ Scale: benefits are computed on demand through
 *active* sets only — open tasks are bounded by ``task_rate × deadline``
 and online workers by ``worker_rate × session_length``, so a
 10^5 × 10^5 population never materializes a matrix anywhere near its
-10^10-entry full benefit table.
+10^10-entry full benefit table.  A posted task's column is cut from a
+block that covers it and the next ``BLOCK_TASKS - 1`` task arrivals
+against the workers online now and those logging in before the last
+of them: one block build serves up to ``BLOCK_TASKS`` posts.  The
+arrival streams are read ahead for this, but the heap still receives
+one arrival at a time, in stream order.
 
 Round mode: ``policy = "round"`` delegates wholesale to the batch
 engine (:class:`repro.sim.engine.Simulation`) — the round-based loop
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time as _time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -41,7 +47,7 @@ from repro import obs
 from repro.benefit.mutual import LinearCombiner, MutualCombiner
 from repro.benefit.rows import RowwiseBenefit
 from repro.errors import ConfigurationError, ValidationError
-from repro.market.arrivals import ArrivalProcess, PoissonArrivals
+from repro.market.arrivals import Arrival, ArrivalProcess, PoissonArrivals
 from repro.market.market import LaborMarket
 from repro.stream.bus import EventBus
 from repro.stream.events import (
@@ -63,6 +69,11 @@ from repro.utils.stats import gini
 
 #: All dispatch modes: the online policies plus engine delegation.
 DISPATCH_POLICIES: tuple[str, ...] = ONLINE_POLICIES + ("round",)
+
+#: Task arrivals covered by one block of posted-task columns.
+BLOCK_TASKS = 32
+#: Most worker arrivals read ahead into one block's rows.
+_BLOCK_LOGINS = 1024
 
 
 @dataclass
@@ -135,12 +146,60 @@ class DispatchConfig:
             raise ConfigurationError("round_rounds must be >= 1")
 
 
+class _Lookahead:
+    """An arrival stream that can be read ahead of the heap.
+
+    The dispatch loop takes arrivals one at a time with :meth:`pull`,
+    in stream order, so the heap sees exactly the unbuffered stream.
+    The first queued arrival is the one pulled last — on the heap and
+    not yet handled — and :meth:`ahead` reads from it onwards without
+    consuming anything.
+    """
+
+    __slots__ = ("_stream", "_queue")
+
+    def __init__(self, stream: Iterator[Arrival]) -> None:
+        self._stream = stream
+        self._queue: list[Arrival] = []
+
+    def pull(self) -> Arrival | None:
+        """Retire the arrival pulled last and return the next one."""
+        queue = self._queue
+        if queue:
+            del queue[0]
+        if not queue:
+            arrival = next(self._stream, None)
+            if arrival is None:
+                return None
+            queue.append(arrival)
+        return queue[0]
+
+    def ahead(
+        self, count: int, horizon: float = math.inf
+    ) -> list[Arrival]:
+        """Up to ``count`` arrivals from the one pulled last, stopping
+        before the first that arrives after ``horizon``."""
+        queue = self._queue
+        if not queue:  # nothing on the heap: not started, or exhausted
+            return []
+        if len(queue) < count:
+            queue.extend(itertools.islice(self._stream, count - len(queue)))
+        return list(
+            itertools.takewhile(
+                lambda arrival: arrival.time <= horizon, queue[:count]
+            )
+        )
+
+
 class DispatchRuntime:
     """Shared mutable state the policies act on.
 
     Policies never mutate the open pool or the ledger directly — all
     commitment funnels through :meth:`assign`, which validates,
     updates the books, and emits the assignment record.
+    ``task_arrivals`` / ``worker_arrivals`` are the dispatch loop's
+    read-ahead streams; :meth:`column` uses them only to size its
+    blocks, so without them each block is a single column.
     """
 
     def __init__(
@@ -150,10 +209,22 @@ class DispatchRuntime:
         bus: EventBus,
         result: StreamResult | None = None,
         telemetry: "_Telemetry | None" = None,
+        task_arrivals: _Lookahead | None = None,
+        worker_arrivals: _Lookahead | None = None,
     ) -> None:
         self.config = config
         self.rows = rows
         self.bus = bus
+        self._task_arrivals = task_arrivals or _Lookahead(iter(()))
+        self._worker_arrivals = worker_arrivals or _Lookahead(iter(()))
+        # The cached block of posted-task columns: task -> column, and
+        # worker -> row.  A worker outside the block maps to
+        # ``n_workers``, a row no block has, so gathering it raises.
+        n_workers = rows.market.n_workers
+        self._block = np.zeros((0, 0))
+        self._block_columns: dict[int, int] = {}
+        self._block_workers = np.zeros(0, dtype=np.int64)
+        self._block_rows = np.full(n_workers, n_workers, dtype=np.int64)
         self.ledger = SessionLedger()
         #: task_index -> posted_at for unassigned, unexpired tasks.
         self.open: dict[int, float] = {}
@@ -184,6 +255,54 @@ class DispatchRuntime:
     def online_array(self) -> np.ndarray:
         """Online workers with remaining capacity, presence order."""
         return np.fromiter(self.ledger.online(), dtype=np.int64)
+
+    def column(self, task_index: int, workers: np.ndarray) -> np.ndarray:
+        """Combined benefit of one task against online ``workers``.
+
+        Equal bit for bit to ``rows.column(task_index, workers)``: the
+        benefit formulas are elementwise, so an entry does not depend
+        on the block it is computed in.  A task or worker outside the
+        cached block rebuilds it, so the read-ahead only decides how
+        often that happens.
+        """
+        column = self._block_columns.get(task_index)
+        if column is not None:
+            try:
+                return self._block[self._block_rows[workers], column]
+            except IndexError:  # an online worker is not in the block
+                pass
+        self._build_block(task_index, workers)
+        return self._block[self._block_rows[workers], 0]
+
+    def _build_block(self, task_index: int, workers: np.ndarray) -> None:
+        """Block of ``task_index`` and the next task arrivals against
+        ``workers`` and the worker arrivals up to the last of them."""
+        tasks = self._task_arrivals.ahead(BLOCK_TASKS - 1)
+        logins = (
+            self._worker_arrivals.ahead(
+                _BLOCK_LOGINS, max(arrival.time for arrival in tasks)
+            )
+            if tasks
+            else []
+        )
+        # Online workers have logged in and the read-ahead ones have
+        # not; each worker arrives once, so the rows are distinct.
+        block_workers = np.concatenate(
+            (
+                workers,
+                np.array([arrival.index for arrival in logins], np.int64),
+            )
+        )
+        block_tasks = [task_index] + [arrival.index for arrival in tasks]
+        self._block = self.rows.row(
+            block_workers, np.array(block_tasks, dtype=np.int64)
+        )
+        self._block_columns = {
+            task: column for column, task in enumerate(block_tasks)
+        }
+        self._block_rows[self._block_workers] = self._block_rows.size
+        self._block_rows[block_workers] = np.arange(block_workers.size)
+        self._block_workers = block_workers
 
     def assign(
         self,
@@ -435,12 +554,22 @@ class StreamDispatcher:
         # owner — e.g. the monitor CLI — installed one already).
         store = obs.timeseries_store()
         telemetry = _Telemetry(store) if store is not None else None
+        task_stream = _Lookahead(
+            self.task_arrivals.stream(self.market.n_tasks, seed=task_seed)
+        )
+        worker_stream = _Lookahead(
+            self.worker_arrivals.stream(
+                self.market.n_workers, seed=worker_seed
+            )
+        )
         runtime = DispatchRuntime(
             config,
             RowwiseBenefit(self.market, combiner=self.combiner),
             bus,
             result,
             telemetry,
+            task_stream,
+            worker_stream,
         )
         policy = make_policy(config, self.market.n_workers)
         policy.bind(runtime, bus)
@@ -472,20 +601,14 @@ class StreamDispatcher:
         deadline = config.deadline
         session_length = config.session_length
         max_open = config.max_open_tasks
-        task_stream = self.task_arrivals.stream(
-            self.market.n_tasks, seed=task_seed
-        )
-        worker_stream = self.worker_arrivals.stream(
-            self.market.n_workers, seed=worker_seed
-        )
         # Heap entries are ``(time, seq, handler, arg)``; ``seq`` breaks
         # time ties in push order, so handlers are never compared.
         heap: list[tuple[float, int, object, int]] = []
         seq = itertools.count()
         push = heapq.heappush
 
-        def pull(stream, handler) -> None:
-            arrival = next(stream, None)
+        def pull(stream: _Lookahead, handler) -> None:
+            arrival = stream.pull()
             if arrival is not None:
                 push(heap, (arrival.time, next(seq), handler, arrival.index))
 
@@ -567,11 +690,6 @@ class StreamDispatcher:
                 if pending:
                     yield from pending
                     pending.clear()
-
-            policy.finish(clock)
-            if pending:
-                yield from pending
-                pending.clear()
         finally:
             # Handlers on the heap and in each other's closures form
             # reference cycles; break them so an abandoned stream is

@@ -1,8 +1,8 @@
 """Pluggable dispatch policies: who gets assigned at each arrival.
 
 A policy is a set of bus subscriptions over the dispatcher's runtime:
-it reacts to ``worker-login`` / ``task-posted`` (and, for the
-micro-batch policy, ``window-flush``) events by committing assignments
+it reacts to ``worker-login`` / ``task-posted`` (the micro-batch
+policy only to ``window-flush``) events by committing assignments
 through :meth:`DispatchRuntime.assign`.  Three online policies mirror
 the repository's online-matching layer:
 
@@ -33,12 +33,7 @@ import numpy as np
 from repro import obs
 from repro.benefit.matrices import BenefitMatrices
 from repro.errors import ConfigurationError
-from repro.stream.events import (
-    StreamEvent,
-    TaskPosted,
-    WindowFlush,
-    WorkerLogin,
-)
+from repro.stream.events import TaskPosted, WindowFlush, WorkerLogin
 
 #: Online policies selectable in ``DispatchConfig.policy`` (round mode
 #: is handled by the dispatcher itself, not by a policy object).
@@ -54,26 +49,20 @@ class DispatchPolicy(abc.ABC):
 
     name: str = "abstract"
 
+    @abc.abstractmethod
     def bind(self, runtime, bus) -> None:
-        """Subscribe the policy's handlers on the dispatch bus."""
-        self.runtime = runtime
-        bus.subscribe("worker-login", self._on_login)
-        bus.subscribe("task-posted", self._on_posted)
-
-    @abc.abstractmethod
-    def _on_login(self, event: StreamEvent) -> None: ...
-
-    @abc.abstractmethod
-    def _on_posted(self, event: StreamEvent) -> None: ...
-
-    def finish(self, time: float) -> None:
-        """Called once after the last event (micro-batch final flush)."""
+        """Keep the runtime and subscribe handlers on the dispatch bus."""
 
 
 class GreedyPolicy(DispatchPolicy):
     """Best-positive-edge assignment at every arrival instant."""
 
     name = "greedy"
+
+    def bind(self, runtime, bus) -> None:
+        self.runtime = runtime
+        bus.subscribe("worker-login", self._on_login)
+        bus.subscribe("task-posted", self._on_posted)
 
     def _offer(self, worker_index: int, time: float) -> None:
         """Give an online worker their best open tasks, greedily."""
@@ -105,7 +94,7 @@ class GreedyPolicy(DispatchPolicy):
         workers = runtime.online_array()
         if workers.size == 0:
             return
-        benefits = runtime.rows.column(event.task_index, workers)
+        benefits = runtime.column(event.task_index, workers)
         best = int(benefits.argmax())
         if float(benefits[best]) <= 0.0:
             return
@@ -215,7 +204,7 @@ class SamplePricePolicy(GreedyPolicy):
         workers = runtime.online_array()
         if workers.size == 0:
             return
-        benefits = runtime.rows.column(event.task_index, workers)
+        benefits = runtime.column(event.task_index, workers)
         best = int(benefits.argmax())
         # A freshly posted task is at full price.
         if float(benefits[best]) <= max(self.price, 0.0):
@@ -249,24 +238,11 @@ class MicroBatchPolicy(DispatchPolicy):
         self.windows_flushed = 0
 
     def bind(self, runtime, bus) -> None:
+        # Arrivals just accumulate in the runtime's open/ledger state.
         self.runtime = runtime
         bus.subscribe("window-flush", self._on_flush)
 
-    # Arrivals just accumulate in the runtime's open/ledger state.
-    def _on_login(self, event: StreamEvent) -> None:  # pragma: no cover
-        pass
-
-    def _on_posted(self, event: StreamEvent) -> None:  # pragma: no cover
-        pass
-
     def _on_flush(self, event: WindowFlush) -> None:
-        self._flush(event.time)
-
-    def finish(self, time: float) -> None:
-        """Final flush so the tail window is not silently dropped."""
-        self._flush(time)
-
-    def _flush(self, time: float) -> None:
         from repro.core.problem import MBAProblem
 
         runtime = self.runtime
@@ -290,7 +266,10 @@ class MicroBatchPolicy(DispatchPolicy):
         obs.count("stream.windows")
         for wi, tj in assignment.edges:
             runtime.assign(
-                int(workers[wi]), int(tasks[tj]), time, float(combined[wi, tj])
+                int(workers[wi]),
+                int(tasks[tj]),
+                event.time,
+                float(combined[wi, tj]),
             )
 
 

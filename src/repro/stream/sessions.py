@@ -34,17 +34,8 @@ class SessionLedger:
 
     # -- session lifecycle -------------------------------------------------
 
-    def login(
-        self,
-        worker_index: int,
-        capacity: int,
-        expires_at: float | None = None,
-    ) -> int:
-        """Open a session granting ``capacity`` units; returns its id.
-
-        ``expires_at`` is accepted for callers that know the session
-        end; the ledger never orders by it.
-        """
+    def login(self, worker_index: int, capacity: int) -> int:
+        """Open a session granting ``capacity`` units; returns its id."""
         if capacity < 0:
             raise ValidationError(
                 f"session capacity must be >= 0, got {capacity}"

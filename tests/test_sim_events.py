@@ -173,11 +173,11 @@ class TestSingleSession:
         task = int(np.argmax(combined[0]))
         assert combined[0, task] > 0
         capacity = market.workers[0].capacity
-        first = runtime.ledger.login(0, capacity, expires_at=5.0)
+        first = runtime.ledger.login(0, capacity)
         with pytest.raises(ValidationError):
-            runtime.ledger.login(0, capacity, expires_at=6.0)
+            runtime.ledger.login(0, capacity)
         assert runtime.ledger.logout(first) == (0, capacity)
-        runtime.ledger.login(0, capacity, expires_at=10.5)
+        runtime.ledger.login(0, capacity)
         runtime.open[task] = 5.5
         assert runtime.online_array().tolist() == [0]
         runtime.assign(0, task, 6.0, float(combined[0, task]))

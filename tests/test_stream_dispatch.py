@@ -21,7 +21,7 @@ from repro.core.problem import MBAProblem
 from repro.core.solvers import auction_solver
 from repro.datagen.synthetic import SyntheticConfig, generate_market
 from repro.errors import ConfigurationError, ValidationError
-from repro.market.arrivals import TraceArrivals
+from repro.market.arrivals import BatchArrivals, TraceArrivals
 from repro.market.categories import CategoryTaxonomy
 from repro.market.market import LaborMarket
 from repro.matching.online import online_greedy_matching
@@ -31,6 +31,7 @@ from repro.stream import (
     DISPATCH_POLICIES,
     ONLINE_POLICIES,
     DispatchConfig,
+    DispatchRuntime,
     GreedyPolicy,
     MicroBatchPolicy,
     SamplePricePolicy,
@@ -431,6 +432,132 @@ class TestOnlinePolicies:
             ),
         ).run(seed=9)
         assert _pairs(greedy) == _pairs(priced)
+
+
+class TestBlockServedColumns:
+    """Posted-task columns are cut from read-ahead blocks and equal
+    ``RowwiseBenefit.column`` bit for bit, however arrivals come."""
+
+    @staticmethod
+    def _arrivals(setup, market, seed):
+        """(config overrides, task arrivals, worker arrivals)."""
+        if setup in ("poisson", "short-read-ahead"):
+            return {}, None, None
+        if setup == "batch":
+            return {}, BatchArrivals(7), BatchArrivals(3)
+        if setup == "trace":
+            # Explicit times, jittered out of order: the heap sees them
+            # as they come, so the clock can step back.
+            rng = np.random.default_rng(seed)
+
+            def trace(n):
+                times = np.arange(n) / 6.0 + rng.uniform(0.0, 1.0, n)
+                return TraceArrivals(
+                    rng.permutation(n).tolist(), times.tolist()
+                )
+
+            return {}, trace(market.n_tasks), trace(market.n_workers)
+        return {"max_open_tasks": 2, "task_rate": 12.0}, None, None
+
+    def _run(self, policy, setup, seed):
+        market = generate_market(
+            SyntheticConfig(n_workers=60, n_tasks=80), seed=seed
+        )
+        overrides, tasks, workers = self._arrivals(setup, market, seed)
+        config = DispatchConfig(
+            **{
+                "policy": policy,
+                "task_rate": 6.0,
+                "worker_rate": 6.0,
+                "deadline": 2.0,
+                "session_length": 3.0,
+                **overrides,
+            }
+        )
+        result = StreamDispatcher(
+            market, config, task_arrivals=tasks, worker_arrivals=workers
+        ).run(seed=seed)
+        return [
+            (r.time, r.worker_index, r.task_index, r.benefit, r.wait)
+            for r in result.records
+        ], result
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("policy", ["greedy", "sample-price"])
+    @pytest.mark.parametrize(
+        "setup", ["poisson", "batch", "trace", "drop", "short-read-ahead"]
+    )
+    def test_bit_identical_to_column(self, setup, policy, seed):
+        served = []
+        blocks = []
+        column = DispatchRuntime.column
+        row = RowwiseBenefit.row
+
+        def spy_column(runtime, task, workers):
+            benefits = column(runtime, task, workers)
+            expected = runtime.rows.column(task, workers)
+            served.append(
+                benefits.dtype == expected.dtype
+                and benefits.tobytes() == expected.tobytes()
+            )
+            return benefits
+
+        def spy_row(rows, workers, tasks):
+            blocks.append(np.ndim(workers))
+            return row(rows, workers, tasks)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(DispatchRuntime, "column", spy_column)
+            patch.setattr(RowwiseBenefit, "row", spy_row)
+            if setup == "short-read-ahead":
+                # Logins past the read-ahead put online workers outside
+                # the block, which must then be rebuilt.
+                patch.setattr("repro.stream.dispatch._BLOCK_LOGINS", 2)
+            records, result = self._run(policy, setup, seed)
+        assert served and all(served)
+        assert blocks.count(1) < len(served)
+        if setup == "drop":
+            assert result.dropped_tasks > 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                DispatchRuntime,
+                "column",
+                lambda runtime, task, workers: runtime.rows.column(
+                    task, workers
+                ),
+            )
+            unblocked, _ = self._run(policy, setup, seed)
+        assert records == unblocked
+
+    def test_one_block_serves_many_posts(self, monkeypatch):
+        """A block covers the posts of the next task arrivals: far
+        fewer blocks than posts, and no per-post column.  A block that
+        missed its next post would be rebuilt every post and still give
+        identical records, so only this count catches it."""
+        market = generate_market(
+            SyntheticConfig(n_workers=1000, n_tasks=1000), seed=0
+        )
+        blocks = []
+        row = RowwiseBenefit.row
+
+        def count_row(rows, workers, tasks):
+            # Logins read one worker's row (an int); blocks take an
+            # array of workers.
+            if np.ndim(workers):
+                blocks.append(len(tasks))
+            return row(rows, workers, tasks)
+
+        def no_column(*args):
+            raise AssertionError("a posted task computed its own column")
+
+        monkeypatch.setattr(RowwiseBenefit, "row", count_row)
+        monkeypatch.setattr(RowwiseBenefit, "column", no_column)
+        config = DispatchConfig(
+            task_rate=4.0, worker_rate=4.0, deadline=1.5, session_length=1.0
+        )
+        result = StreamDispatcher(market, config).run(seed=0)
+        assert result.posted_tasks == 1000
+        assert len(blocks) <= result.posted_tasks / 16
 
 
 class TestGreedyMatchesOnlineReference:
