@@ -17,8 +17,6 @@ from repro.errors import ConfigurationError
 from repro.market.categories import CategoryTaxonomy
 from repro.market.market import LaborMarket
 from repro.market.requester import Requester
-from repro.market.task import Task
-from repro.market.worker import Worker
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -167,16 +165,6 @@ def generate_market(
         config.capacity_low, config.capacity_high + 1, config.n_workers
     )
     reservation = config.reservation_fraction * config.payment_mean
-    workers = [
-        Worker(
-            worker_id=i,
-            skills=skills[i],
-            capacity=int(capacities[i]),
-            reservation_wage=reservation,
-            interests=interests[i],
-        )
-        for i in range(config.n_workers)
-    ]
 
     categories = _draw_categories(config, rng)
     difficulties = rng.uniform(
@@ -191,22 +179,22 @@ def generate_market(
         if config.n_requesters > 0
         else np.full(config.n_tasks, -1)
     )
-    tasks = [
-        Task(
-            task_id=j,
-            category=int(categories[j]),
-            difficulty=float(difficulties[j]),
-            payment=float(payments[j]),
-            replication=int(replications[j]),
-            requester_id=int(requester_ids[j]),
-            effort=config.effort,
-        )
-        for j in range(config.n_tasks)
-    ]
-    requesters = [
-        Requester(requester_id=r) for r in range(config.n_requesters)
-    ]
-    return LaborMarket(workers, tasks, taxonomy, requesters)
+    return LaborMarket.from_arrays(
+        taxonomy,
+        skills=skills,
+        interests=interests,
+        capacities=capacities,
+        reservation_wages=reservation,
+        categories=categories,
+        difficulties=difficulties,
+        payments=payments,
+        replications=replications,
+        requester_ids=requester_ids,
+        efforts=config.effort,
+        requesters=[
+            Requester(requester_id=r) for r in range(config.n_requesters)
+        ],
+    )
 
 
 def uniform_market(

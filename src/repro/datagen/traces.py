@@ -23,8 +23,6 @@ import numpy as np
 from repro.market.categories import CategoryTaxonomy
 from repro.market.market import LaborMarket
 from repro.market.requester import Requester
-from repro.market.task import Task
-from repro.market.worker import Worker
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -48,16 +46,6 @@ def amt_like_market(
     capacity = 1 + np.minimum(
         rng.pareto(1.2, n_workers).astype(int), 9
     )
-    workers = [
-        Worker(
-            worker_id=i,
-            skills=skills[i],
-            capacity=int(capacity[i]),
-            reservation_wage=0.02,
-            interests=interests[i],
-        )
-        for i in range(n_workers)
-    ]
 
     # Categories Zipf-popular; payments are cents-scale; replication is
     # 3 or 5 (answer aggregation is the point of micro-tasks).
@@ -70,22 +58,20 @@ def amt_like_market(
     difficulties = rng.beta(2.0, 4.0, n_tasks)  # mostly easy, some hard
     replication = rng.choice([3, 5], size=n_tasks, p=[0.7, 0.3])
     requester_ids = rng.integers(0, max(n_tasks // 20, 1), n_tasks)
-    tasks = [
-        Task(
-            task_id=j,
-            category=int(categories[j]),
-            difficulty=float(difficulties[j]),
-            payment=float(payments[j]),
-            replication=int(replication[j]),
-            requester_id=int(requester_ids[j]),
-            effort=0.2,
-        )
-        for j in range(n_tasks)
-    ]
-    requesters = [
-        Requester(requester_id=r) for r in range(int(requester_ids.max()) + 1)
-    ]
-    return LaborMarket(workers, tasks, taxonomy, requesters)
+    return LaborMarket.from_arrays(
+        taxonomy,
+        skills=skills,
+        interests=interests,
+        capacities=capacity,
+        reservation_wages=0.02,
+        categories=categories,
+        difficulties=difficulties,
+        payments=payments,
+        replications=replication,
+        requester_ids=requester_ids,
+        efforts=0.2,
+        requesters=_requesters(requester_ids),
+    )
 
 
 def upwork_like_market(
@@ -108,37 +94,32 @@ def upwork_like_market(
     capacity = rng.choice([1, 2], size=n_workers, p=[0.7, 0.3])
     # Hourly-rate-like reservation wages, log-normal.
     reservations = rng.lognormal(np.log(3.0), 0.5, n_workers)
-    workers = [
-        Worker(
-            worker_id=i,
-            skills=skills[i],
-            capacity=int(capacity[i]),
-            reservation_wage=float(reservations[i]),
-            interests=interests[i],
-        )
-        for i in range(n_workers)
-    ]
 
     categories = rng.integers(0, n_categories, n_tasks)
     payments = rng.lognormal(np.log(8.0), 0.8, n_tasks)  # heavy tail
     difficulties = rng.beta(3.0, 3.0, n_tasks)  # centered, varied
     requester_ids = rng.integers(0, max(n_tasks // 4, 1), n_tasks)
-    tasks = [
-        Task(
-            task_id=j,
-            category=int(categories[j]),
-            difficulty=float(difficulties[j]),
-            payment=float(payments[j]),
-            replication=1,  # one freelancer per job
-            requester_id=int(requester_ids[j]),
-            effort=2.0,
-        )
-        for j in range(n_tasks)
-    ]
-    requesters = [
+    return LaborMarket.from_arrays(
+        taxonomy,
+        skills=skills,
+        interests=interests,
+        capacities=capacity,
+        reservation_wages=reservations,
+        categories=categories,
+        difficulties=difficulties,
+        payments=payments,
+        replications=1,  # one freelancer per job
+        requester_ids=requester_ids,
+        efforts=2.0,
+        requesters=_requesters(requester_ids),
+    )
+
+
+def _requesters(requester_ids: np.ndarray) -> list[Requester]:
+    """One requester per id up to the largest drawn."""
+    return [
         Requester(requester_id=r) for r in range(int(requester_ids.max()) + 1)
     ]
-    return LaborMarket(workers, tasks, taxonomy, requesters)
 
 
 def workload_registry():

@@ -15,9 +15,26 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.market.categories import CategoryTaxonomy
+from repro.market.checks import (
+    check_categories,
+    check_requesters,
+    check_shape,
+    check_skills,
+    check_task_fields,
+    check_worker_fields,
+    column,
+)
 from repro.market.requester import Requester
 from repro.market.task import Task
 from repro.market.worker import Worker, accuracy
+
+
+def _python_scalars(values: np.ndarray) -> list:
+    """A column's entries as Python numbers; a broadcast scalar (stride
+    0) becomes one object shared by every entry."""
+    if values.strides == (0,) and values.size:
+        return [values[0].item()] * values.size
+    return values.tolist()
 
 
 class LaborMarket:
@@ -43,6 +60,103 @@ class LaborMarket:
         self._validate()
         self._index_requester_tasks()
 
+    @classmethod
+    def from_arrays(
+        cls,
+        taxonomy: CategoryTaxonomy,
+        *,
+        skills: np.ndarray,
+        interests: np.ndarray,
+        capacities: np.ndarray | int,
+        reservation_wages: np.ndarray | float,
+        categories: np.ndarray,
+        difficulties: np.ndarray | float,
+        payments: np.ndarray | float,
+        replications: np.ndarray | int,
+        requester_ids: np.ndarray | int,
+        efforts: np.ndarray | float,
+        requesters: Sequence[Requester],
+    ) -> "LaborMarket":
+        """A market built column-wise: worker ``i`` is row ``i`` of
+        ``skills``/``interests`` and entry ``i`` of ``capacities`` and
+        ``reservation_wages``, task ``j`` is entry ``j`` of
+        ``categories`` and the other task columns, and ids are
+        positions.  A column other than the matrices and ``categories``
+        may be one scalar shared by every entity.
+
+        Every column is checked once, as a whole, by the same checks
+        :class:`Worker` and :class:`Task` run on one row, and so raises
+        the same errors; the entities are then built without checking
+        each again.  Ids are dense by construction, so the per-entity
+        loop of the list constructor is skipped too.  Scalar fields are
+        Python numbers (a shared scalar is one object, as a literal
+        argument to the entity constructors would be);
+        ``skills[i]``/``interests[i]`` are row views of the given
+        matrices, not copies.
+        """
+        n_cat = len(taxonomy)
+        skills = np.asarray(skills, dtype=float)
+        interests = np.asarray(interests, dtype=float)
+        n_workers = len(skills) if skills.ndim else 0
+        check_shape("skill matrix", skills, (n_workers, n_cat))
+        check_shape("interest matrix", interests, (n_workers, n_cat))
+        categories = np.asarray(categories)
+        if categories.ndim != 1:
+            raise ValidationError(
+                f"categories must be 1-D, got shape {categories.shape}"
+            )
+        n_tasks = len(categories)
+        categories = column("categories", categories, n_tasks, integer=True)
+        capacities = column("capacities", capacities, n_workers, integer=True)
+        reservation_wages = column(
+            "reservation_wages", reservation_wages, n_workers
+        )
+        difficulties = column("difficulties", difficulties, n_tasks)
+        payments = column("payments", payments, n_tasks)
+        replications = column(
+            "replications", replications, n_tasks, integer=True
+        )
+        requester_ids = column(
+            "requester_ids", requester_ids, n_tasks, integer=True
+        )
+        efforts = column("efforts", efforts, n_tasks)
+
+        worker_ids, task_ids = range(n_workers), range(n_tasks)
+        check_worker_fields(
+            worker_ids, skills, interests, capacities, reservation_wages
+        )
+        check_task_fields(
+            task_ids, categories, difficulties, payments, replications, efforts
+        )
+        check_categories(task_ids, categories, n_cat)
+        requesters = list(requesters)
+        check_requesters(
+            task_ids, requester_ids, [r.requester_id for r in requesters]
+        )
+
+        market = cls.__new__(cls)
+        market.workers = list(
+            map(
+                Worker._unchecked,
+                worker_ids,
+                skills,
+                _python_scalars(capacities),
+                _python_scalars(reservation_wages),
+                interests,
+            )
+        )
+        task_fields = (
+            categories, difficulties, payments, replications, requester_ids,
+            efforts,
+        )
+        market.tasks = list(
+            map(Task._unchecked, task_ids, *map(_python_scalars, task_fields))
+        )
+        market.taxonomy = taxonomy
+        market.requesters = requesters
+        market._index_requester_tasks()
+        return market
+
     # -- construction helpers -------------------------------------------------
 
     def _validate(self) -> None:
@@ -61,25 +175,20 @@ class LaborMarket:
             seen_workers.add(worker.worker_id)
         seen_tasks: set[int] = set()
         for task in self.tasks:
-            if task.category >= n_cat:
-                raise ValidationError(
-                    f"task {task.task_id}: category {task.category} outside "
-                    f"taxonomy of size {n_cat}"
-                )
             if task.task_id in seen_tasks:
                 raise ValidationError(f"duplicate task id {task.task_id}")
             seen_tasks.add(task.task_id)
-        requester_ids = {r.requester_id for r in self.requesters}
-        if len(requester_ids) != len(self.requesters):
-            raise ValidationError("duplicate requester ids")
-        for task in self.tasks:
-            if task.requester_id != -1 and self.requesters and (
-                task.requester_id not in requester_ids
-            ):
-                raise ValidationError(
-                    f"task {task.task_id} references unknown requester "
-                    f"{task.requester_id}"
-                )
+        task_ids = [task.task_id for task in self.tasks]
+        check_categories(
+            task_ids,
+            np.array([task.category for task in self.tasks], dtype=int),
+            n_cat,
+        )
+        check_requesters(
+            task_ids,
+            np.array([task.requester_id for task in self.tasks], dtype=int),
+            [r.requester_id for r in self.requesters],
+        )
 
     def _index_requester_tasks(self) -> None:
         by_id = {r.requester_id: r for r in self.requesters}
@@ -175,24 +284,15 @@ class LaborMarket:
         """A market whose workers carry the rows of ``skills``.
 
         ``skills`` is checked once as a whole — shape
-        ``(n_workers, n_categories)``, finite, within ``[0, 1]`` — the
-        conditions ``Worker`` checks per skill vector.  Workers are
+        ``(n_workers, n_categories)``, then the skill check ``Worker``
+        runs on its one row.  Workers are
         shallow copies of this market's (already validated) workers,
         each with its own copy of its row, so no per-worker validation
         runs again; tasks, taxonomy and requesters are shared.
         """
         skills = np.asarray(skills, dtype=float)
-        expected = (self.n_workers, len(self.taxonomy))
-        if skills.shape != expected:
-            raise ValidationError(
-                f"skill matrix has shape {skills.shape}, expected {expected}"
-            )
-        if not np.all(np.isfinite(skills)) or np.any(
-            (skills < 0) | (skills > 1)
-        ):
-            raise ValidationError(
-                "skill matrix entries must be finite and lie in [0, 1]"
-            )
+        check_shape("skill matrix", skills, (self.n_workers, len(self.taxonomy)))
+        check_skills([w.worker_id for w in self.workers], skills)
         workers = []
         for worker, row in zip(self.workers, skills):
             clone = copy.copy(worker)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ValidationError
+import numpy as np
+
+from repro.market.checks import check_task_fields
 
 
 @dataclass
@@ -42,30 +44,37 @@ class Task:
     effort: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.category < 0:
-            raise ValidationError(
-                f"task {self.task_id}: category must be >= 0, "
-                f"got {self.category}"
-            )
-        if not 0.0 <= self.difficulty <= 1.0:
-            raise ValidationError(
-                f"task {self.task_id}: difficulty must lie in [0, 1], "
-                f"got {self.difficulty}"
-            )
-        if self.payment < 0:
-            raise ValidationError(
-                f"task {self.task_id}: payment must be >= 0, "
-                f"got {self.payment}"
-            )
-        if self.replication < 1:
-            raise ValidationError(
-                f"task {self.task_id}: replication must be >= 1, "
-                f"got {self.replication}"
-            )
-        if self.effort <= 0:
-            raise ValidationError(
-                f"task {self.task_id}: effort must be > 0, got {self.effort}"
-            )
+        check_task_fields(
+            (self.task_id,),
+            np.asarray([self.category]),
+            np.asarray([self.difficulty], dtype=float),
+            np.asarray([self.payment], dtype=float),
+            np.asarray([self.replication]),
+            np.asarray([self.effort], dtype=float),
+        )
+
+    @classmethod
+    def _unchecked(
+        cls,
+        task_id: int,
+        category: int,
+        difficulty: float,
+        payment: float,
+        replication: int,
+        requester_id: int,
+        effort: float,
+    ) -> "Task":
+        """A task whose fields were already checked as columns by
+        :meth:`LaborMarket.from_arrays`; skips ``__post_init__``."""
+        task = object.__new__(cls)
+        task.task_id = task_id
+        task.category = category
+        task.difficulty = difficulty
+        task.payment = payment
+        task.replication = replication
+        task.requester_id = requester_id
+        task.effort = effort
+        return task
 
     def __repr__(self) -> str:
         return (

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.market.checks import check_worker_fields
 
 
 def accuracy(skill, difficulty):
@@ -62,19 +63,6 @@ class Worker:
                 f"worker {self.worker_id}: skills must be a non-empty 1-D "
                 f"array, got shape {self.skills.shape}"
             )
-        if np.any(self.skills < 0) or np.any(self.skills > 1):
-            raise ValidationError(
-                f"worker {self.worker_id}: skills must lie in [0, 1]"
-            )
-        if self.capacity < 0:
-            raise ValidationError(
-                f"worker {self.worker_id}: capacity must be >= 0, "
-                f"got {self.capacity}"
-            )
-        if self.reservation_wage < 0:
-            raise ValidationError(
-                f"worker {self.worker_id}: reservation_wage must be >= 0"
-            )
         if self.interests is None:
             self.interests = np.full_like(self.skills, 0.5)
         else:
@@ -84,10 +72,33 @@ class Worker:
                 f"worker {self.worker_id}: interests shape "
                 f"{self.interests.shape} != skills shape {self.skills.shape}"
             )
-        if np.any(self.interests < 0) or np.any(self.interests > 1):
-            raise ValidationError(
-                f"worker {self.worker_id}: interests must lie in [0, 1]"
-            )
+        check_worker_fields(
+            (self.worker_id,),
+            self.skills[np.newaxis],
+            self.interests[np.newaxis],
+            np.asarray([self.capacity]),
+            np.asarray([self.reservation_wage], dtype=float),
+        )
+
+    @classmethod
+    def _unchecked(
+        cls,
+        worker_id: int,
+        skills: np.ndarray,
+        capacity: int,
+        reservation_wage: float,
+        interests: np.ndarray,
+    ) -> "Worker":
+        """A worker whose fields were already checked as columns by
+        :meth:`LaborMarket.from_arrays`; skips ``__post_init__``."""
+        worker = object.__new__(cls)
+        worker.worker_id = worker_id
+        worker.skills = skills
+        worker.capacity = capacity
+        worker.reservation_wage = reservation_wage
+        worker.interests = interests
+        worker.active = True
+        return worker
 
     def skill_for(self, category: int) -> float:
         """Skill level for one category id."""

@@ -20,8 +20,8 @@ def check_positive(name: str, value: float) -> float:
 
 
 def check_nonnegative(name: str, value: float) -> float:
-    """Require ``value >= 0``; return it for chaining."""
-    if value < 0:
+    """Require ``value >= 0`` (so not NaN); return it for chaining."""
+    if not value >= 0:
         raise ValidationError(f"{name} must be non-negative, got {value!r}")
     return value
 

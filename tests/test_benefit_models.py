@@ -5,6 +5,7 @@ import pytest
 
 from repro.benefit.requester_benefit import QualityGainBenefit
 from repro.benefit.worker_benefit import NetRewardBenefit
+from repro.errors import ValidationError
 from repro.market.categories import CategoryTaxonomy
 from repro.market.market import LaborMarket
 from repro.market.task import Task
@@ -64,6 +65,10 @@ class TestQualityGainBenefit:
         doubled = QualityGainBenefit(value_scale=2.0).matrix(market)[0, 0]
         assert doubled == pytest.approx(2.0 * base)
 
+    def test_nan_value_scale_rejected(self):
+        with pytest.raises(ValidationError, match="value_scale"):
+            QualityGainBenefit(value_scale=float("nan"))
+
 
 class TestNetRewardBenefit:
     def test_payment_minus_cost(self):
@@ -105,6 +110,10 @@ class TestNetRewardBenefit:
         taxonomy = CategoryTaxonomy.default(1)
         market = LaborMarket([], [], taxonomy)
         assert NetRewardBenefit().matrix(market).shape == (0, 0)
+
+    def test_nan_interest_weight_rejected(self):
+        with pytest.raises(ValidationError, match="interest_weight"):
+            NetRewardBenefit(interest_weight=float("nan"))
 
     def test_matrix_shape(self, small_market):
         matrix = NetRewardBenefit().matrix(small_market)

@@ -110,6 +110,10 @@ class TestIncrementalFlow:
         with pytest.raises(ValidationError):
             get_solver("incremental-flow", stability_bonus=-1.0)
 
+    def test_nan_bonus_rejected(self):
+        with pytest.raises(ValidationError, match="stability_bonus"):
+            get_solver("incremental-flow", stability_bonus=float("nan"))
+
     def test_bonus_increases_retention(self):
         problem_a = _problem(seed=7)
         previous = get_solver("flow").solve(problem_a)

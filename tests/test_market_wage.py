@@ -36,6 +36,11 @@ class TestLinearEffortCost:
         with pytest.raises(ValidationError):
             LinearEffortCost(rate=-0.1)
 
+    @pytest.mark.parametrize("field", ["rate", "skill_discount"])
+    def test_rejects_nan(self, field):
+        with pytest.raises(ValidationError, match=field):
+            LinearEffortCost(**{field: float("nan")})
+
 
 class TestFlatCost:
     def test_constant(self):
@@ -46,3 +51,7 @@ class TestFlatCost:
     def test_broadcast_shape(self):
         costs = FlatCost(amount=0.25).cost(np.zeros((4, 1)), np.ones(3))
         assert np.array_equal(costs, np.full((4, 3), 0.25))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError, match="amount"):
+            FlatCost(amount=float("nan"))

@@ -30,6 +30,13 @@ class TestCheckNonnegative:
         with pytest.raises(ValidationError):
             check_nonnegative("x", -1e-9)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError, match="x must be non-negative"):
+            check_nonnegative("x", float("nan"))
+
+    def test_accepts_inf(self):
+        assert check_nonnegative("x", float("inf")) == float("inf")
+
 
 class TestCheckFraction:
     @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
