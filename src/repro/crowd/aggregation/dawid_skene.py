@@ -1,9 +1,11 @@
 """Dawid–Skene EM for joint truth + worker-accuracy inference.
 
-The binary one-coin specialization: worker ``w`` has a single unknown
-accuracy ``a_w`` applied symmetrically to both classes.  EM alternates
+The one-coin (symmetric-noise) model: worker ``w`` has a single
+unknown accuracy ``a_w``; over ``K`` classes it reports the truth with
+probability ``a_w`` and each other label with ``(1 - a_w) / (K - 1)``
+(for two classes, a flip with ``1 - a_w``).  EM alternates
 
-* **E-step** — posterior P(truth = 1 | answers, accuracies) per task;
+* **E-step** — posterior P(truth = k | answers, accuracies) per task;
 * **M-step** — each worker's accuracy re-estimated as the expected
   fraction of their answers agreeing with the posterior truths.
 
@@ -15,15 +17,19 @@ Both steps are ``np.bincount`` reductions over :class:`TaskRows` (the
 answer rows in sorted-task order), so every per-worker and per-task
 sum adds its terms in the order of the per-answer loop kept as the
 test reference.  Logs and exponentials go through :mod:`math`, once
-per worker and per task: numpy's vectorized ``log``/``exp`` differ
-from libm in the last bit on some inputs, which is enough to flip a
-label whose posterior sits at 0.5.  Results are bit-identical to the
-loop.  Two-coin EM and GLAD share :class:`TaskRows`.
+per worker and per (task, class): numpy's vectorized ``log``/``exp``
+differ from libm in the last bit on some inputs, which is enough to
+flip a label whose posterior sits at 0.5.  Class 0's posterior is one
+minus the others' and tied posteriors go to the higher class, so two
+classes reproduce the binary loop (``1 - p`` and ``p >= 0.5``) bit for
+bit.  Two-coin EM and GLAD run their E-steps through
+:meth:`TaskRows.e_step` too.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +45,16 @@ class TaskRows:
     """An answer set's rows in sorted-task order, densely indexed.
 
     ``task``/``worker`` map each row to its position in ``task_ids``/
-    ``worker_ids`` (both sorted); ``says_one`` is the row's vote.
+    ``worker_ids`` (both sorted); ``vote`` is the row's label.
+    Per-task class arrays are ``len(task_ids) × n_classes``.
     """
 
     task_ids: np.ndarray
     worker_ids: np.ndarray
     task: np.ndarray
     worker: np.ndarray
-    says_one: np.ndarray
+    vote: np.ndarray
+    n_classes: int
 
     @classmethod
     def of(cls, answer_set: AnswerSet) -> TaskRows:
@@ -58,13 +66,22 @@ class TaskRows:
             answer_set.workers[order], return_inverse=True
         )
         return cls(
-            task_ids, worker_ids, task, worker, answer_set.votes[order] == 1
+            task_ids,
+            worker_ids,
+            task,
+            worker,
+            answer_set.votes[order],
+            answer_set.n_classes,
         )
 
     def soft_majority(self) -> np.ndarray:
-        """``(ones + 1) / (answers + 2)`` per task: EM's start."""
-        return (np.bincount(self.task, weights=self.says_one) + 1.0) / (
-            np.bincount(self.task) + 2.0
+        """Vote shares with one pseudo-vote per class: EM's start."""
+        counts = np.bincount(
+            self.task * self.n_classes + self.vote,
+            minlength=self.task_ids.size * self.n_classes,
+        ).reshape(-1, self.n_classes) + 1.0
+        return _complement_class_zero(
+            counts / counts.sum(axis=1, keepdims=True)
         )
 
     def per_worker(self, weights: np.ndarray | None = None) -> np.ndarray:
@@ -77,30 +94,48 @@ class TaskRows:
         """``math.log`` of a per-worker vector, gathered to the rows."""
         return _map(math.log, per_worker)[self.worker]
 
+    def by_vote(self, voted: np.ndarray, other: np.ndarray) -> np.ndarray:
+        """Rows × classes: row ``r``'s ``voted`` in its vote's column,
+        its ``other`` in every other column."""
+        return np.where(
+            self.vote[:, None] == np.arange(self.n_classes),
+            voted[:, None],
+            other[:, None],
+        )
+
     def e_step(
-        self,
-        class_prior: float,
-        log_if_one: np.ndarray,
-        log_if_zero: np.ndarray,
+        self, log_prior: np.ndarray, log_likelihood: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(posterior, evidence)`` per task.
 
-        ``log_if_one``/``log_if_zero`` are each row's log P(vote |
-        truth = 1) and log P(vote | truth = 0); both are consumed.
+        ``log_prior`` is log P(truth = k) per class; ``log_likelihood``
+        holds each row's log P(vote | truth = k), one column per class,
+        and is consumed.
         """
         # Each task's sum starts from the log prior: fold it into the
         # task's first row, since (0 + prior) + t == prior + t.
         first = np.flatnonzero(np.diff(self.task, prepend=-1))
-        log_if_one[first] += math.log(class_prior)
-        log_if_zero[first] += math.log(1.0 - class_prior)
-        log_p1 = np.bincount(self.task, weights=log_if_one)
-        log_p0 = np.bincount(self.task, weights=log_if_zero)
-        # exp(log_p1 - peak) + exp(log_p0 - peak), where one term is
-        # exp(0.0) == 1.0 exactly.
-        peak = np.maximum(log_p1, log_p0)
-        low = np.minimum(log_p1, log_p0)
-        evidence = peak + _map(math.log, 1.0 + _map(math.exp, low - peak))
-        return _map(math.exp, log_p1 - evidence), evidence
+        log_likelihood[first] += log_prior
+        n_classes = self.n_classes
+        log_joint = np.bincount(
+            (self.task[:, None] * n_classes + np.arange(n_classes)).ravel(),
+            weights=log_likelihood.ravel(),
+        ).reshape(-1, n_classes)
+        # The peak class's term is exp(0.0) == 1.0 exactly.
+        peak = log_joint.max(axis=1)
+        evidence = peak + _map(
+            math.log, _map(math.exp, log_joint - peak[:, None]).sum(axis=1)
+        )
+        posterior = np.empty_like(log_joint)
+        posterior[:, 1:] = _map(
+            math.exp, log_joint[:, 1:] - evidence[:, None]
+        )
+        return _complement_class_zero(posterior), evidence
+
+    def labels(self, posterior: np.ndarray) -> dict[int, int]:
+        """MAP label per task; a tie goes to the higher class."""
+        top = self.n_classes - 1 - np.argmax(posterior[:, ::-1], axis=1)
+        return dict(zip(self.task_ids.tolist(), top.tolist()))
 
 
 @dataclass(frozen=True)
@@ -112,7 +147,7 @@ class DawidSkeneResult:
     labels:
         MAP label per task.
     posteriors:
-        P(truth = 1) per task.
+        P(truth = k) per task, a tuple with one entry per class.
     worker_accuracies:
         Estimated accuracy per worker index.
     log_likelihood:
@@ -122,7 +157,7 @@ class DawidSkeneResult:
     """
 
     labels: dict[int, int]
-    posteriors: dict[int, float]
+    posteriors: dict[int, tuple[float, ...]]
     worker_accuracies: dict[int, float]
     log_likelihood: float
     iterations: int
@@ -132,16 +167,24 @@ def dawid_skene(
     answer_set: AnswerSet,
     max_iterations: int = 100,
     tolerance: float = 1e-7,
-    class_prior: float = 0.5,
+    class_prior: Sequence[float] | None = None,
 ) -> DawidSkeneResult:
     """Run one-coin Dawid–Skene EM on an answer set.
 
-    ``class_prior`` is P(truth = 1); 0.5 matches the simulator's
-    uniform truth draw.
+    ``class_prior`` is P(truth = k) for each class; the default,
+    uniform, matches the simulator's truth draw.
     """
-    if not 0.0 < class_prior < 1.0:
+    n_classes = answer_set.n_classes
+    prior = np.asarray(
+        np.full(n_classes, 1.0 / n_classes) if class_prior is None else class_prior,
+        dtype=float,
+    )
+    if prior.shape != (n_classes,) or not (
+        np.all(prior > 0.0) and abs(prior.sum() - 1.0) <= 1e-9
+    ):
         raise ValidationError(
-            f"class_prior must lie strictly in (0, 1), got {class_prior}"
+            f"class_prior must be {n_classes} positive probabilities "
+            f"summing to 1, got {class_prior}"
         )
     if max_iterations < 1:
         raise ValidationError("max_iterations must be >= 1")
@@ -149,6 +192,7 @@ def dawid_skene(
     if not answer_set.n_answers():
         return DawidSkeneResult({}, {}, {}, 0.0, 0)
     rows = TaskRows.of(answer_set)
+    log_prior = _map(math.log, prior)
     answers_per_worker = rows.per_worker()
     posterior = rows.soft_majority()
     log_likelihood = -math.inf
@@ -156,20 +200,13 @@ def dawid_skene(
 
     for iterations in range(1, max_iterations + 1):
         # M-step: accuracy = expected agreement with posterior truth.
-        p1 = posterior[rows.task]
-        agreement = rows.per_worker(np.where(rows.says_one, p1, 1.0 - p1))
-        accuracy = np.clip(
-            agreement / answers_per_worker, _EPS, 1.0 - _EPS
-        )
+        agreement = rows.per_worker(posterior[rows.task, rows.vote])
+        accuracy = np.clip(agreement / answers_per_worker, _EPS, 1.0 - _EPS)
 
         # E-step: posterior truth per task, and the log-likelihood.
         right = rows.log_by_row(accuracy)
-        wrong = rows.log_by_row(1.0 - accuracy)
-        posterior, evidence = rows.e_step(
-            class_prior,
-            np.where(rows.says_one, right, wrong),
-            np.where(rows.says_one, wrong, right),
-        )
+        wrong = rows.log_by_row((1.0 - accuracy) / (n_classes - 1))
+        posterior, evidence = rows.e_step(log_prior, rows.by_vote(right, wrong))
         new_ll = float(np.cumsum(evidence)[-1])
 
         if new_ll - log_likelihood < tolerance and iterations > 1:
@@ -177,18 +214,23 @@ def dawid_skene(
             break
         log_likelihood = new_ll
 
-    tasks = rows.task_ids.tolist()
     return DawidSkeneResult(
-        labels=dict(zip(tasks, (posterior >= 0.5).astype(int).tolist())),
-        posteriors=dict(zip(tasks, posterior.tolist())),
-        worker_accuracies=dict(
-            zip(rows.worker_ids.tolist(), accuracy.tolist())
-        ),
+        labels=rows.labels(posterior),
+        posteriors=dict(zip(rows.task_ids.tolist(), map(tuple, posterior.tolist()))),
+        worker_accuracies=dict(zip(rows.worker_ids.tolist(), accuracy.tolist())),
         log_likelihood=log_likelihood,
         iterations=iterations,
     )
 
 
+def _complement_class_zero(posterior: np.ndarray) -> np.ndarray:
+    """Set class 0's share to one minus the others' (in place)."""
+    posterior[:, 0] = 1.0 - posterior[:, 1:].sum(axis=1)
+    return posterior
+
+
 def _map(function, values: np.ndarray) -> np.ndarray:
     """``function`` applied to each entry (libm, not numpy's SIMD)."""
-    return np.fromiter(map(function, values.tolist()), float, values.size)
+    return np.fromiter(
+        map(function, values.ravel().tolist()), float, values.size
+    ).reshape(values.shape)

@@ -16,9 +16,11 @@ Inference is EM with gradient M-steps (the standard approach):
 * M-step — a few steps of gradient ascent on the expected complete-data
   log-likelihood w.r.t. alpha and log(beta).
 
-This implementation is self-contained numpy, deterministic, and tested
-for likelihood non-decrease (up to the inexact M-step's tolerance) and
-for recovering difficulty orderings on synthetic data.
+The E-step is the shared
+:meth:`~repro.crowd.aggregation.dawid_skene.TaskRows.e_step`.  The
+implementation is deterministic, and tested for likelihood non-decrease
+(up to the inexact M-step's tolerance) and for recovering difficulty
+orderings on synthetic data.
 """
 
 from __future__ import annotations
@@ -82,79 +84,47 @@ def glad(
             "max_iterations and gradient_steps must be >= 1"
         )
 
+    answer_set.require_binary("GLAD")
     if not answer_set.n_answers():
         return GladResult({}, {}, {}, {}, 0.0, 0)
 
-    # Flat observation arrays: (task, worker, answer).
     rows = TaskRows.of(answer_set)
-    obs_task, obs_worker = rows.task, rows.worker
-    obs_answer = rows.says_one.astype(int)
+    alpha = np.ones(rows.worker_ids.size)  # abilities
+    log_beta = np.zeros(rows.task_ids.size)  # log easiness
+    log_prior = np.array([math.log(1.0 - class_prior), math.log(class_prior)])
 
-    n_tasks, n_workers = rows.task_ids.size, rows.worker_ids.size
-    alpha = np.ones(n_workers)          # abilities
-    log_beta = np.zeros(n_tasks)        # log easiness
-    # Soft-majority initialization of the posterior.
-    posterior = rows.soft_majority()
-
-    log_prior_1 = math.log(class_prior)
-    log_prior_0 = math.log(1.0 - class_prior)
-
-    def correctness_probability() -> np.ndarray:
-        """P(answer correct) per observation under current params."""
-        return _sigmoid(alpha[obs_worker] * np.exp(log_beta[obs_task]))
-
-    def e_step() -> float:
-        """Update posteriors; return the data log-likelihood."""
-        p_correct = np.clip(correctness_probability(), 1e-9, 1 - 1e-9)
-        # log P(answer | truth=1): correct iff answer == 1.
-        log_a1 = np.where(
-            obs_answer == 1, np.log(p_correct), np.log(1.0 - p_correct)
+    def e_step() -> tuple[np.ndarray, float]:
+        """Posteriors and the data log-likelihood."""
+        p_correct = np.clip(
+            _sigmoid(alpha[rows.worker] * np.exp(log_beta[rows.task])),
+            1e-9,
+            1 - 1e-9,
         )
-        log_a0 = np.where(
-            obs_answer == 0, np.log(p_correct), np.log(1.0 - p_correct)
+        posterior, evidence = rows.e_step(
+            log_prior, rows.by_vote(np.log(p_correct), np.log(1.0 - p_correct))
         )
-        log_p1 = log_prior_1 + np.bincount(
-            obs_task, weights=log_a1, minlength=n_tasks
-        )
-        log_p0 = log_prior_0 + np.bincount(
-            obs_task, weights=log_a0, minlength=n_tasks
-        )
-        peak = np.maximum(log_p1, log_p0)
-        evidence = peak + np.log(
-            np.exp(log_p1 - peak) + np.exp(log_p0 - peak)
-        )
-        posterior[:] = np.exp(log_p1 - evidence)
-        return float(evidence.sum())
+        return posterior, float(evidence.sum())
 
-    def m_step() -> None:
-        """Gradient ascent on the expected complete-data likelihood."""
-        nonlocal alpha, log_beta
-        for _ in range(gradient_steps):
-            beta = np.exp(log_beta)
-            z = alpha[obs_worker] * beta[obs_task]
-            sigma = _sigmoid(z)
-            # P(observation is correct | truth): weight by posterior.
-            p1 = posterior[obs_task]
-            correct_weight = np.where(obs_answer == 1, p1, 1.0 - p1)
-            # d/dz of [cw*log(sigma) + (1-cw)*log(1-sigma)] = cw - sigma
-            dz = correct_weight - sigma
-            grad_alpha = np.bincount(
-                obs_worker, weights=dz * beta[obs_task],
-                minlength=n_workers,
-            )
-            grad_log_beta = np.bincount(
-                obs_task, weights=dz * z, minlength=n_tasks
-            )
-            alpha = alpha + learning_rate * grad_alpha
-            log_beta = log_beta + learning_rate * grad_log_beta
-            log_beta = np.clip(log_beta, -4.0, 4.0)
-            alpha = np.clip(alpha, -8.0, 8.0)
-
-    log_likelihood = e_step()
+    posterior, log_likelihood = e_step()
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        m_step()
-        new_ll = e_step()
+        # M-step: gradient ascent on the expected complete-data
+        # likelihood, each answer weighted by P(it is correct).
+        correct_weight = posterior[rows.task, rows.vote]
+        for _ in range(gradient_steps):
+            beta = np.exp(log_beta)[rows.task]
+            z = alpha[rows.worker] * beta
+            # d/dz of [cw*log(sigma) + (1-cw)*log(1-sigma)] = cw - sigma
+            dz = correct_weight - _sigmoid(z)
+            alpha = np.clip(
+                alpha + learning_rate * rows.per_worker(dz * beta), -8.0, 8.0
+            )
+            log_beta = np.clip(
+                log_beta + learning_rate * np.bincount(rows.task, weights=dz * z),
+                -4.0,
+                4.0,
+            )
+        posterior, new_ll = e_step()
         if abs(new_ll - log_likelihood) < tolerance and iterations > 1:
             log_likelihood = new_ll
             break
@@ -162,8 +132,8 @@ def glad(
 
     tasks = rows.task_ids.tolist()
     return GladResult(
-        labels=dict(zip(tasks, (posterior >= 0.5).astype(int).tolist())),
-        posteriors=dict(zip(tasks, posterior.tolist())),
+        labels=rows.labels(posterior),
+        posteriors=dict(zip(tasks, posterior[:, 1].tolist())),
         abilities=dict(zip(rows.worker_ids.tolist(), alpha.tolist())),
         easiness=dict(zip(tasks, np.exp(log_beta).tolist())),
         log_likelihood=log_likelihood,

@@ -1,4 +1,4 @@
-"""Plain majority voting."""
+"""Plain majority (plurality) voting."""
 
 from __future__ import annotations
 
@@ -9,26 +9,23 @@ from repro.utils.rng import SeedLike, as_rng
 
 
 def majority_vote(answer_set: AnswerSet, seed: SeedLike = None) -> dict[int, int]:
-    """Aggregate each task's answers by simple majority.
+    """Aggregate each task's answers by plurality.
 
-    Ties are broken by a fair coin (seeded for reproducibility), the
-    same rule the closed-form accuracy in
+    A tie draws ``rng.choice`` among the leading labels, one draw per
+    tied task in task order (seeded for reproducibility).  For two
+    classes that is the fair coin the closed-form accuracy in
     :func:`repro.crowd.quality.majority_vote_accuracy` assumes.
-    Returns ``{task_index: label}``.
+    Returns ``{task_index: label}`` in first-answer order.
     """
-    task_ids, group = answer_set.task_groups
-    ones = np.bincount(group, weights=answer_set.votes, minlength=task_ids.size)
-    zeros = np.bincount(group, minlength=task_ids.size) - ones
-    return label_by_score(task_ids, ones - zeros, seed)
-
-
-def label_by_score(
-    task_ids: np.ndarray, score: np.ndarray, seed: SeedLike = None
-) -> dict[int, int]:
-    """``{task: 1 if score > 0 else 0}``, in ``task_ids`` order; a zero
-    score draws one fair coin per tied task, in that order."""
     rng = as_rng(seed)
-    labels = (score > 0).astype(int)
-    for position in np.flatnonzero(score == 0).tolist():
-        labels[position] = int(rng.integers(0, 2))
+    task_ids, group = answer_set.task_groups
+    n_classes = answer_set.n_classes
+    counts = np.bincount(
+        group * n_classes + answer_set.votes,
+        minlength=task_ids.size * n_classes,
+    ).reshape(-1, n_classes)
+    leading = counts == counts.max(axis=1, keepdims=True)
+    labels = np.argmax(leading, axis=1)
+    for position in np.flatnonzero(leading.sum(axis=1) > 1).tolist():
+        labels[position] = rng.choice(np.flatnonzero(leading[position]))
     return dict(zip(task_ids.tolist(), labels.tolist()))

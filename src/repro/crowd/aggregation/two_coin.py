@@ -65,10 +65,12 @@ def two_coin_dawid_skene(
     """Run two-coin Dawid–Skene EM on an answer set."""
     if max_iterations < 1:
         raise ValidationError("max_iterations must be >= 1")
+    answer_set.require_binary("two-coin Dawid-Skene")
     if not answer_set.n_answers():
         return TwoCoinResult({}, {}, {}, {}, 0.5, 0.0, 0)
 
     rows = TaskRows.of(answer_set)
+    says_one = rows.vote == 1
     posterior = rows.soft_majority()
     sensitivity = np.full(rows.worker_ids.size, 0.7)
     specificity = np.full(rows.worker_ids.size, 0.7)
@@ -77,14 +79,14 @@ def two_coin_dawid_skene(
 
     for iterations in range(1, max_iterations + 1):
         # M-step (a worker with no mass on a class keeps its estimate).
-        p1 = posterior[rows.task]
+        p0, p1 = posterior[rows.task].T
         class_prior = float(
-            _clip(np.cumsum(posterior)[-1] / rows.task_ids.size)
+            _clip(np.cumsum(posterior[:, 1])[-1] / rows.task_ids.size)
         )
         pos_total = rows.per_worker(p1)
-        neg_total = rows.per_worker(1.0 - p1)
-        pos_agree = rows.per_worker(np.where(rows.says_one, p1, 0.0))
-        neg_agree = rows.per_worker(np.where(rows.says_one, 0.0, 1.0 - p1))
+        neg_total = rows.per_worker(p0)
+        pos_agree = rows.per_worker(np.where(says_one, p1, 0.0))
+        neg_agree = rows.per_worker(np.where(says_one, 0.0, p0))
         with np.errstate(divide="ignore", invalid="ignore"):
             sensitivity = np.where(
                 pos_total > 0, _clip(pos_agree / pos_total), sensitivity
@@ -99,9 +101,13 @@ def two_coin_dawid_skene(
         log_spec = rows.log_by_row(specificity)
         log_false = rows.log_by_row(1.0 - specificity)
         posterior, evidence = rows.e_step(
-            class_prior,
-            np.where(rows.says_one, log_sens, log_miss),
-            np.where(rows.says_one, log_false, log_spec),
+            np.array([math.log(1.0 - class_prior), math.log(class_prior)]),
+            np.column_stack(
+                (
+                    np.where(says_one, log_false, log_spec),
+                    np.where(says_one, log_sens, log_miss),
+                )
+            ),
         )
         new_ll = float(np.cumsum(evidence)[-1])
 
@@ -113,8 +119,8 @@ def two_coin_dawid_skene(
     tasks = rows.task_ids.tolist()
     workers = rows.worker_ids.tolist()
     return TwoCoinResult(
-        labels=dict(zip(tasks, (posterior >= 0.5).astype(int).tolist())),
-        posteriors=dict(zip(tasks, posterior.tolist())),
+        labels=rows.labels(posterior),
+        posteriors=dict(zip(tasks, posterior[:, 1].tolist())),
         sensitivities=dict(zip(workers, sensitivity.tolist())),
         specificities=dict(zip(workers, specificity.tolist())),
         class_prior=class_prior,

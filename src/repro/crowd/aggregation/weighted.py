@@ -12,10 +12,9 @@ import math
 
 import numpy as np
 
-from repro.crowd.aggregation.majority import label_by_score
 from repro.crowd.answer_model import AnswerSet
 from repro.errors import ValidationError
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, as_rng
 
 _CLIP = 1e-3
 
@@ -37,9 +36,12 @@ def weighted_majority_vote(
 
     Workers missing from ``worker_accuracies`` default to 0.5 (weight
     0): an unknown worker's vote carries no information.  Ties (net
-    score exactly 0) break by fair coin.  Each task's score adds its
-    signed weights in row order, starting from 0.
+    score exactly 0) draw one fair coin per tied task, in task order.
+    Each task's score adds its signed weights in row order, starting
+    from 0.
     """
+    answer_set.require_binary("weighted majority vote")
+    rng = as_rng(seed)
     task_ids, group = answer_set.task_groups
     worker_ids, worker = np.unique(answer_set.workers, return_inverse=True)
     weight = np.array(
@@ -53,4 +55,7 @@ def weighted_majority_vote(
         weights=np.where(answer_set.votes == 1, weight, -weight),
         minlength=task_ids.size,
     )
-    return label_by_score(task_ids, score, seed)
+    labels = (score > 0).astype(int)
+    for position in np.flatnonzero(score == 0).tolist():
+        labels[position] = int(rng.integers(0, 2))
+    return dict(zip(task_ids.tolist(), labels.tolist()))

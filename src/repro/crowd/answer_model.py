@@ -1,32 +1,34 @@
 """Simulating worker answers to assigned tasks.
 
-Tasks are binary-choice (the standard model in the task-assignment
-literature: every multi-class task can be decomposed into binary
-questions, and binary keeps aggregation-accuracy closed-form).  A
-worker answers a task correctly with the probability given by
-``Worker.accuracy_on`` — exactly the same quantity the benefit models
-plan with, so simulated outcomes are an unbiased realization of the
-planner's expectations.
+A task has ``n_classes`` labels (two by default, the standard model in
+the task-assignment literature, where binary keeps aggregation
+accuracy closed-form).  A worker answers a task correctly with the
+probability given by ``Worker.accuracy_on`` — exactly the same
+quantity the benefit models plan with, so simulated outcomes are an
+unbiased realization of the planner's expectations — and otherwise
+picks one of the other labels uniformly (symmetric noise; for two
+classes, a flip).
 
 The documented RNG contract is *per-edge stream addressing*: walking
 ``edges`` in order, each first occurrence of a task draws its truth
-via ``rng.integers(0, 2)`` and every edge then draws one
-``rng.random()`` for correctness.  :func:`simulate_answers` batches
-all of those Bernoulli draws into one ``random_raw`` block while
-reproducing the scalar call sequence bit for bit (see
-:func:`_simulate_answers_batched`), so seeded runs are byte-identical
-to the loop they replaced — which survives as
-:func:`simulate_answers_reference` and is cross-checked in tests.
-Both return an :class:`AnswerSet`, whose rows are the answers in the
-order that loop's ``{task: {worker: answer}}`` dict iterates.
+via ``rng.integers(0, n_classes)``, every edge then draws one
+``rng.random()`` for correctness, and a wrong answer draws its offset
+from the truth via ``rng.integers(1, n_classes)`` (which consumes no
+draw when there are two classes).  For two classes
+:func:`simulate_answers` batches all of those draws into one
+``random_raw`` block while reproducing the scalar call sequence bit
+for bit (see :func:`_simulate_answers_batched`), so seeded runs are
+byte-identical to the loop — which survives as
+:func:`simulate_answers_reference`, serves more classes, and is
+cross-checked in tests.  Both return an :class:`AnswerSet`, whose rows
+are the answers in the order that loop's ``{task: {worker: answer}}``
+dict iterates.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -34,6 +36,11 @@ from repro.errors import ValidationError
 from repro.market.market import LaborMarket
 from repro.market.worker import accuracy
 from repro.utils.rng import SeedLike, as_rng
+
+
+def _check_n_classes(n_classes: int) -> None:
+    if n_classes < 2:
+        raise ValidationError(f"n_classes must be >= 2, got {n_classes}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,18 +59,22 @@ class AnswerSet:
     ----------
     tasks / workers / votes:
         Row ``r`` says worker ``workers[r]`` answered task ``tasks[r]``
-        with ``votes[r]`` in ``{0, 1}``.
+        with label ``votes[r]`` in ``[0, n_classes)``.
     truths:
         ``{task_index: true_label}`` — ground truth for scoring; kept
         separate so aggregation methods cannot accidentally peek.
+    n_classes:
+        Number of labels per task (at least 2).
     """
 
     tasks: np.ndarray = ()
     workers: np.ndarray = ()
     votes: np.ndarray = ()
     truths: dict[int, int] = field(default_factory=dict)
+    n_classes: int = 2
 
     def __post_init__(self) -> None:
+        _check_n_classes(self.n_classes)
         columns = [
             np.array(c, dtype=np.int64)
             for c in (self.tasks, self.workers, self.votes)
@@ -74,8 +85,10 @@ class AnswerSet:
             raise ValidationError(
                 "tasks, workers and votes must have one entry per answer"
             )
-        if np.any((columns[2] != 0) & (columns[2] != 1)):
-            raise ValidationError("votes must be 0 or 1")
+        if np.any((columns[2] < 0) | (columns[2] >= self.n_classes)):
+            raise ValidationError(
+                f"votes must lie in [0, {self.n_classes})"
+            )
         pairs = np.stack(columns[:2])[:, np.lexsort(columns[1::-1])]
         if np.any(np.all(np.diff(pairs) == 0, axis=0)):
             raise ValidationError("a (task, worker) pair has two answers")
@@ -88,6 +101,7 @@ class AnswerSet:
         cls,
         answers: dict[int, dict[int, int]],
         truths: dict[int, int] | None = None,
+        n_classes: int = 2,
     ) -> AnswerSet:
         """Build the rows from ``{task: {worker: answer}}``, in its
         iteration order (tasks with no answers have no rows)."""
@@ -97,20 +111,7 @@ class AnswerSet:
             for worker, answer in by_worker.items()
         ]
         columns = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-        return cls(*columns, dict(truths or {}))
-
-    @cached_property
-    def answers(self) -> Mapping[int, Mapping[int, int]]:
-        """Read-only ``{task_index: {worker_index: answer}}`` view of
-        the rows, for callers that walk dicts."""
-        view: dict[int, dict[int, int]] = {}
-        for task, worker, vote in zip(
-            self.tasks.tolist(), self.workers.tolist(), self.votes.tolist()
-        ):
-            view.setdefault(task, {})[worker] = vote
-        return MappingProxyType(
-            {task: MappingProxyType(by) for task, by in view.items()}
-        )
+        return cls(*columns, dict(truths or {}), n_classes)
 
     @cached_property
     def task_groups(self) -> tuple[np.ndarray, np.ndarray]:
@@ -124,25 +125,32 @@ class AnswerSet:
         rank[order] = np.arange(order.size)
         return ids[order], rank[inverse]
 
-    def workers_on(self, task_index: int) -> list[int]:
-        """Worker indices that answered a task (sorted)."""
-        return np.sort(self.workers[self.tasks == task_index]).tolist()
-
     def n_answers(self) -> int:
         return int(self.tasks.size)
+
+    def require_binary(self, method: str) -> None:
+        """Raise unless the answers have two classes."""
+        if self.n_classes != 2:
+            raise ValidationError(
+                f"{method} needs binary answers, got n_classes="
+                f"{self.n_classes}"
+            )
 
 
 def simulate_answers_reference(
     market: LaborMarket,
     edges: list[tuple[int, int]],
     seed: SeedLike = None,
+    n_classes: int = 2,
 ) -> AnswerSet:
     """Scalar-loop reference for :func:`simulate_answers`.
 
     One RNG call per draw, in edge order — the ground truth for the
-    batched fast path's stream addressing, and the fallback for bit
-    generators whose word stream the fast path cannot emulate.
+    batched fast path's stream addressing, and the path for more than
+    two classes and for bit generators whose word stream the fast path
+    cannot emulate.
     """
+    _check_n_classes(n_classes)
     rng = as_rng(seed)
     accuracy_matrix = market.accuracy_matrix()
     answers: dict[int, dict[int, int]] = {}
@@ -157,32 +165,41 @@ def simulate_answers_reference(
                 f"edge references task index {task_index} outside market"
             )
         if task_index not in truths:
-            truths[task_index] = int(rng.integers(0, 2))
+            truths[task_index] = int(rng.integers(0, n_classes))
         truth = truths[task_index]
         correct = rng.random() < accuracy_matrix[worker_index, task_index]
-        answer = truth if correct else 1 - truth
+        answer = (
+            truth
+            if correct
+            else (truth + int(rng.integers(1, n_classes))) % n_classes
+        )
         answers.setdefault(task_index, {})[worker_index] = answer
-    return AnswerSet.from_dicts(answers, truths)
+    return AnswerSet.from_dicts(answers, truths, n_classes)
 
 
 def simulate_answers(
     market: LaborMarket,
     edges: list[tuple[int, int]],
     seed: SeedLike = None,
+    n_classes: int = 2,
 ) -> AnswerSet:
     """Generate answers for every assigned (worker_index, task_index) edge.
 
     Each task draws a uniform true label once; each assigned worker
-    reports it correctly with their accuracy, otherwise flips it.
-    Draws are batched when the generator is PCG64 (numpy's default);
-    results and the post-call generator state are bit-identical to
+    reports it correctly with their accuracy, otherwise picks one of
+    the other labels uniformly.  Binary draws are batched when the
+    generator is PCG64 (numpy's default); results and the post-call
+    generator state are bit-identical to
     :func:`simulate_answers_reference` either way.
     """
     rng = as_rng(seed)
     if not edges:
-        return AnswerSet()
-    if rng.bit_generator.state.get("bit_generator") != "PCG64":
-        return simulate_answers_reference(market, edges, rng)
+        return AnswerSet(n_classes=n_classes)
+    if (
+        n_classes != 2
+        or rng.bit_generator.state.get("bit_generator") != "PCG64"
+    ):
+        return simulate_answers_reference(market, edges, rng, n_classes)
 
     edge_array = np.asarray(edges, dtype=np.int64)
     workers = edge_array[:, 0]

@@ -5,7 +5,8 @@ majority of independent workers with the given per-worker accuracies
 report the true label.  The vote-count distribution is Poisson-binomial
 and is computed by the exact O(k²) dynamic program over the number of
 correct votes; ties (even worker counts) are broken by a fair coin,
-matching the simulator.
+matching the simulator.  ``plurality_accuracy`` estimates the same
+probability for more than two classes by sampling.
 
 This function is the heart of the *coverage* objective: a task's
 requester-side value is ``payment * (MV_accuracy(S) - 0.5) * 2`` for
@@ -66,6 +67,38 @@ def majority_vote_accuracy(accuracies: Sequence[float]) -> float:
     # The DP's float accumulation can overshoot 1 by a few ulps; the
     # result is a probability by construction, so clamp it.
     return float(min(max(win + 0.5 * tie, 0.0), 1.0))
+
+
+def plurality_accuracy(
+    accuracies: Sequence[float],
+    n_classes: int,
+    n_samples: int = 20_000,
+    seed: SeedLike = 0,
+) -> float:
+    """Monte-Carlo P(plurality of a committee is correct), fair ties.
+
+    A wrong vote is uniform over the other ``n_classes - 1`` labels
+    (the simulator's symmetric noise).  The Poisson-binomial DP above
+    stops at two classes; beyond that the vote counts are multinomial
+    convolutions and sampling is the practical route.  An empty
+    committee guesses.  Deterministic given ``seed``.
+    """
+    if n_classes < 2:
+        raise ValidationError(f"n_classes must be >= 2, got {n_classes}")
+    arr = _check_accuracies(accuracies)
+    if arr.size == 0:
+        return 1.0 / n_classes
+    rng = as_rng(seed)
+    # Truth is label 0 WLOG (symmetric noise).
+    correct = rng.random((n_samples, arr.size)) < arr
+    wrong_labels = rng.integers(1, n_classes, (n_samples, arr.size))
+    votes = np.where(correct, 0, wrong_labels)
+    counts = np.bincount(
+        (np.arange(n_samples)[:, None] * n_classes + votes).ravel(),
+        minlength=n_samples * n_classes,
+    ).reshape(n_samples, n_classes)
+    leading = counts == counts.max(axis=1, keepdims=True)
+    return float(np.mean(leading[:, 0] / leading.sum(axis=1)))
 
 
 def weighted_vote_accuracy(

@@ -6,7 +6,9 @@ run these on their own single row; :meth:`LaborMarket.from_arrays
 row of a generated market.  Either way a failure raises the same
 :class:`~repro.errors.ValidationError` text, naming the first offending
 entity.  Each range check is written as "inside the valid set", never as
-"``x < 0``", so it rejects NaN too; the float fields also reject ±inf.
+"``x < 0``", so it rejects NaN too; the float fields also reject ±inf,
+and the integer fields (capacity, category, replication) any value that
+is not a whole number, so no later ``dtype=int`` cast can truncate one.
 """
 
 from __future__ import annotations
@@ -38,6 +40,13 @@ def _outside_unit(values: np.ndarray) -> np.ndarray:
     return ~((values >= 0.0) & (values <= 1.0))
 
 
+def _not_whole_at_least(values: np.ndarray, low: int) -> np.ndarray:
+    bad = ~(values >= low)
+    if values.dtype.kind == "f":
+        bad |= ~np.isfinite(values) | (np.floor(values) != values)
+    return bad
+
+
 def check_shape(name: str, array: np.ndarray, expected: tuple[int, ...]) -> None:
     if array.shape != expected:
         raise ValidationError(
@@ -46,17 +55,25 @@ def check_shape(name: str, array: np.ndarray, expected: tuple[int, ...]) -> None
 
 
 def column(name: str, values, n: int, *, integer: bool = False) -> np.ndarray:
-    """``values`` as a length-``n`` column of floats (or integers).
+    """``values`` as a length-``n`` column of floats, or with
+    ``integer`` in their own dtype, which :func:`check_integers` checks
+    after the field rules have named any non-integer entity.
 
     A scalar stands for ``n`` equal entries and comes back as a
     read-only broadcast view (stride 0), so no ``n``-entry copy exists.
     """
     values = np.asarray(values) if integer else np.asarray(values, dtype=float)
-    if integer and values.size and values.dtype.kind not in "iu":
-        raise ValidationError(f"{name} must be integers, got {values.dtype}")
     if values.ndim:
         check_shape(name, values, (n,))
     return np.broadcast_to(values, (n,))
+
+
+def check_integers(**columns: np.ndarray) -> None:
+    """Each column has an integer dtype: a column of whole floats is
+    refused too, so the entities hold Python ints."""
+    for name, values in columns.items():
+        if values.size and values.dtype.kind not in "iu":
+            raise ValidationError(f"{name} must be integers, got {values.dtype}")
 
 
 def check_skills(ids: Sequence[int], skills: np.ndarray) -> None:
@@ -78,8 +95,8 @@ def check_worker_fields(
     worker ``ids[i]``."""
     check_skills(ids, skills)
     _reject(
-        "worker", ids, ~(capacities >= 0),
-        "capacity must be >= 0, got {}", capacities,
+        "worker", ids, _not_whole_at_least(capacities, 0),
+        "capacity must be an integer >= 0, got {}", capacities,
     )
     _reject(
         "worker", ids,
@@ -103,8 +120,8 @@ def check_task_fields(
 ) -> None:
     """Entry ``i`` of each column belongs to task ``ids[i]``."""
     _reject(
-        "task", ids, ~(categories >= 0),
-        "category must be >= 0, got {}", categories,
+        "task", ids, _not_whole_at_least(categories, 0),
+        "category must be an integer >= 0, got {}", categories,
     )
     _reject(
         "task", ids, _outside_unit(difficulties),
@@ -115,8 +132,8 @@ def check_task_fields(
         "payment must be finite and >= 0, got {}", payments,
     )
     _reject(
-        "task", ids, ~(replications >= 1),
-        "replication must be >= 1, got {}", replications,
+        "task", ids, _not_whole_at_least(replications, 1),
+        "replication must be an integer >= 1, got {}", replications,
     )
     _reject(
         "task", ids, ~(np.isfinite(efforts) & (efforts > 0)),

@@ -17,6 +17,7 @@ from repro.errors import ValidationError
 from repro.market.categories import CategoryTaxonomy
 from repro.market.checks import (
     check_categories,
+    check_integers,
     check_requesters,
     check_shape,
     check_skills,
@@ -127,6 +128,12 @@ class LaborMarket:
         )
         check_task_fields(
             task_ids, categories, difficulties, payments, replications, efforts
+        )
+        check_integers(
+            categories=categories,
+            capacities=capacities,
+            replications=replications,
+            requester_ids=requester_ids,
         )
         check_categories(task_ids, categories, n_cat)
         requesters = list(requesters)

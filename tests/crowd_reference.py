@@ -3,8 +3,8 @@
 Majority and weighted votes, one- and two-coin Dawid–Skene and the
 Beta estimator's round fold and estimated market used to loop in Python
 over ``{task: {worker: answer}}``.  Those loops live on here, unchanged
-apart from reading the answer set's read-only ``answers`` view, as the
-ground truth the ``np.bincount`` implementations are checked against
+apart from reading that dict from :func:`answer_dicts`, as the ground
+truth the ``np.bincount`` implementations are checked against
 (``tests/test_crowd_array_layer.py``).  Test-only: nothing in
 ``repro`` imports this module.
 """
@@ -25,6 +25,18 @@ from repro.market.market import LaborMarket
 from repro.utils.rng import SeedLike, as_rng
 
 
+def answer_dicts(answer_set: AnswerSet) -> dict[int, dict[int, int]]:
+    """``{task: {worker: answer}}`` from the rows, in row order."""
+    answers: dict[int, dict[int, int]] = {}
+    for task, worker, vote in zip(
+        answer_set.tasks.tolist(),
+        answer_set.workers.tolist(),
+        answer_set.votes.tolist(),
+    ):
+        answers.setdefault(task, {})[worker] = vote
+    return answers
+
+
 def _clip(x: float) -> float:
     return min(max(x, _EPS), 1.0 - _EPS)
 
@@ -34,7 +46,7 @@ def majority_vote_reference(
 ) -> dict[int, int]:
     rng = as_rng(seed)
     labels: dict[int, int] = {}
-    for task_index, by_worker in answer_set.answers.items():
+    for task_index, by_worker in answer_dicts(answer_set).items():
         ones = sum(by_worker.values())
         zeros = len(by_worker) - ones
         if ones > zeros:
@@ -53,7 +65,7 @@ def weighted_majority_vote_reference(
 ) -> dict[int, int]:
     rng = as_rng(seed)
     labels: dict[int, int] = {}
-    for task_index, by_worker in answer_set.answers.items():
+    for task_index, by_worker in answer_dicts(answer_set).items():
         score = 0.0
         for worker_index, answer in by_worker.items():
             weight = log_odds_weight(worker_accuracies.get(worker_index, 0.5))
@@ -73,16 +85,15 @@ def dawid_skene_reference(
     tolerance: float = 1e-7,
     class_prior: float = 0.5,
 ) -> DawidSkeneResult:
-    tasks = sorted(answer_set.answers)
-    workers = sorted(
-        {w for by_worker in answer_set.answers.values() for w in by_worker}
-    )
+    answers = answer_dicts(answer_set)
+    tasks = sorted(answers)
+    workers = sorted({w for by_worker in answers.values() for w in by_worker})
     if not tasks:
         return DawidSkeneResult({}, {}, {}, 0.0, 0)
 
     posterior: dict[int, float] = {}
     for task in tasks:
-        by_worker = answer_set.answers[task]
+        by_worker = answers[task]
         posterior[task] = (sum(by_worker.values()) + 1.0) / (len(by_worker) + 2.0)
 
     accuracy = {w: 0.7 for w in workers}
@@ -94,7 +105,7 @@ def dawid_skene_reference(
         count = {w: 0 for w in workers}
         for task in tasks:
             p1 = posterior[task]
-            for worker, answer in answer_set.answers[task].items():
+            for worker, answer in answers[task].items():
                 agreement[worker] += p1 if answer == 1 else (1.0 - p1)
                 count[worker] += 1
         for worker in workers:
@@ -106,7 +117,7 @@ def dawid_skene_reference(
         for task in tasks:
             log_p1 = math.log(class_prior)
             log_p0 = math.log(1.0 - class_prior)
-            for worker, answer in answer_set.answers[task].items():
+            for worker, answer in answers[task].items():
                 a = accuracy[worker]
                 if answer == 1:
                     log_p1 += math.log(a)
@@ -141,16 +152,15 @@ def two_coin_dawid_skene_reference(
     max_iterations: int = 100,
     tolerance: float = 1e-7,
 ) -> TwoCoinResult:
-    tasks = sorted(answer_set.answers)
-    workers = sorted(
-        {w for by_worker in answer_set.answers.values() for w in by_worker}
-    )
+    answers = answer_dicts(answer_set)
+    tasks = sorted(answers)
+    workers = sorted({w for by_worker in answers.values() for w in by_worker})
     if not tasks:
         return TwoCoinResult({}, {}, {}, {}, 0.5, 0.0, 0)
 
     posterior: dict[int, float] = {}
     for task in tasks:
-        by_worker = answer_set.answers[task]
+        by_worker = answers[task]
         posterior[task] = (sum(by_worker.values()) + 1.0) / (len(by_worker) + 2.0)
 
     sensitivity = {w: 0.7 for w in workers}
@@ -169,7 +179,7 @@ def two_coin_dawid_skene_reference(
         for task in tasks:
             p1 = posterior[task]
             prior_mass += p1
-            for worker, answer in answer_set.answers[task].items():
+            for worker, answer in answers[task].items():
                 pos_total[worker] += p1
                 neg_total[worker] += 1.0 - p1
                 if answer == 1:
@@ -192,7 +202,7 @@ def two_coin_dawid_skene_reference(
         for task in tasks:
             log_p1 = math.log(class_prior)
             log_p0 = math.log(1.0 - class_prior)
-            for worker, answer in answer_set.answers[task].items():
+            for worker, answer in answers[task].items():
                 sens = sensitivity[worker]
                 spec = specificity[worker]
                 if answer == 1:
@@ -232,7 +242,7 @@ def record_answers_reference(
     reference_labels: dict[int, int],
 ) -> int:
     observed = 0
-    for task_index, by_worker in answer_set.answers.items():
+    for task_index, by_worker in answer_dicts(answer_set).items():
         reference = reference_labels.get(task_index)
         if reference is None:
             continue

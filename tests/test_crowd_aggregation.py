@@ -158,7 +158,9 @@ class TestDawidSkene:
                 }
             )
         )
-        assert all(0.0 <= p <= 1.0 for p in result.posteriors.values())
+        assert all(
+            0.0 <= q <= 1.0 for p in result.posteriors.values() for q in p
+        )
 
     def test_bad_class_prior(self):
         with pytest.raises(ValidationError):

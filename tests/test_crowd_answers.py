@@ -9,6 +9,7 @@ from repro.crowd.answer_model import (
 )
 from repro.errors import ValidationError
 from repro.utils.rng import as_rng
+from tests.crowd_reference import answer_dicts
 
 
 class TestSimulateAnswers:
@@ -16,8 +17,8 @@ class TestSimulateAnswers:
         edges = [(0, 0), (1, 0), (1, 1)]
         answers = simulate_answers(tiny_market, edges, seed=0)
         assert answers.n_answers() == 3
-        assert answers.workers_on(0) == [0, 1]
-        assert answers.workers_on(1) == [1]
+        assert sorted(answers.workers[answers.tasks == 0].tolist()) == [0, 1]
+        assert answers.workers[answers.tasks == 1].tolist() == [1]
 
     def test_truth_drawn_once_per_task(self, tiny_market):
         answers = simulate_answers(tiny_market, [(0, 0), (1, 0)], seed=0)
@@ -28,7 +29,7 @@ class TestSimulateAnswers:
         edges = [(0, 0), (1, 1), (2, 0)]
         a = simulate_answers(tiny_market, edges, seed=9)
         b = simulate_answers(tiny_market, edges, seed=9)
-        assert a.answers == b.answers
+        assert answer_dicts(a) == answer_dicts(b)
         assert a.truths == b.truths
 
     def test_accuracy_statistics(self, tiny_market):
@@ -39,7 +40,7 @@ class TestSimulateAnswers:
         trials = 3000
         for _ in range(trials):
             answers = simulate_answers(tiny_market, [(0, 0)], seed=rng)
-            hits += answers.answers[0][0] == answers.truths[0]
+            hits += answers.votes[0] == answers.truths[0]
         assert hits / trials == pytest.approx(accuracy, abs=0.03)
 
     def test_rejects_bad_worker_index(self, tiny_market):
@@ -58,8 +59,7 @@ class TestSimulateAnswers:
     def test_answers_are_binary(self, small_market):
         edges = [(i, i % small_market.n_tasks) for i in range(10)]
         answers = simulate_answers(small_market, edges, seed=1)
-        for by_worker in answers.answers.values():
-            assert set(by_worker.values()) <= {0, 1}
+        assert set(answers.votes.tolist()) <= {0, 1}
 
 
 class TestBatchedBitIdentity:
@@ -81,12 +81,10 @@ class TestBatchedBitIdentity:
         fast = simulate_answers(market, edges, rng_fast)
         ref = simulate_answers_reference(market, edges, rng_ref)
         assert fast.truths == ref.truths
-        assert fast.answers == ref.answers
-        # Insertion order matters to downstream consumers that iterate.
+        # Row order matters to downstream consumers that iterate.
         assert list(fast.truths) == list(ref.truths)
-        assert list(fast.answers) == list(ref.answers)
-        for task in fast.answers:
-            assert list(fast.answers[task]) == list(ref.answers[task])
+        for column in ("tasks", "workers", "votes"):
+            assert np.array_equal(getattr(fast, column), getattr(ref, column))
         assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
         # The streams keep agreeing after the call.
         assert rng_fast.integers(0, 2) == rng_ref.integers(0, 2)
@@ -132,7 +130,7 @@ class TestBatchedBitIdentity:
             np.random.Generator(np.random.MT19937(4)),  # lint: allow
         )
         assert fast.truths == ref.truths
-        assert fast.answers == ref.answers
+        assert answer_dicts(fast) == answer_dicts(ref)
 
     def test_error_path_replays_partial_consumption(self, small_market):
         edges = [(0, 0), (1, 1), (999, 0)]

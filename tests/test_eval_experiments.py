@@ -110,3 +110,22 @@ class TestQualitativeClaims:
             for ratio, fill in zip(ratios, fills):
                 if ratio >= 1.0:
                     assert fills[0] < fill, (policy, ratio)
+
+
+class TestPinnedTables:
+    def test_f13_aggregation_table(self):
+        """Seed-0 F13 at full scale, pinned exactly: a change to the
+        vote, Dawid-Skene or GLAD arithmetic that moves any label
+        shows here."""
+        table = run_experiment("F13", scale=1.0, seed=0)
+        assert [list(row) for row in table.rows] == [
+            ["zipf(3.0)", 0.7450000000000001, 0.75, 0.72, 0.7],
+            ["zipf(1.5)", 0.7849999999999999, 0.775, 0.79, 0.7899999999999999],
+            [
+                "zipf(0.8)",
+                0.9099999999999999,
+                0.9099999999999999,
+                0.8799999999999999,
+                0.89,
+            ],
+        ]

@@ -193,6 +193,28 @@ class TestSameErrorAsEntities:
         assert entity == _error(lambda: _from_arrays(**columns))
         assert entity.startswith(f"task 1: {field}")
 
+    @pytest.mark.parametrize("value", [1.5, 2.5, INF])
+    @pytest.mark.parametrize(
+        "column, build",
+        [
+            (
+                "capacities",
+                lambda v: Worker(worker_id=1, skills=np.full(3, 0.5), capacity=v),
+            ),
+            ("replications", lambda v: Task(task_id=1, category=0, replication=v)),
+            ("categories", lambda v: Task(task_id=1, category=v)),
+        ],
+    )
+    def test_non_integer_count(self, column, build, value):
+        # The market's dtype=int columns would truncate a non-integer
+        # count, and the solvers would see another value than the entity.
+        columns = _columns()
+        columns[column] = columns[column].astype(float)
+        columns[column][1] = value
+        entity = _error(lambda: build(value))
+        assert entity == _error(lambda: _from_arrays(**columns))
+        assert "must be an integer" in entity
+
     def test_category_outside_taxonomy(self):
         list_built = _error(
             lambda: LaborMarket(
