@@ -16,8 +16,8 @@ from repro.benefit.base import BenefitModel
 from repro.benefit.mutual import LinearCombiner, MutualCombiner
 from repro.benefit.requester_benefit import QualityGainBenefit
 from repro.benefit.worker_benefit import NetRewardBenefit
-from repro.errors import ValidationError
 from repro.market.market import LaborMarket
+from repro.utils.validation import check_same_shape, check_weights
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,15 @@ class BenefitMatrices:
     combiner: MutualCombiner
 
     def __post_init__(self) -> None:
-        if not (
-            self.requester.shape == self.worker.shape == self.combined.shape
-        ):
-            raise ValidationError(
-                "benefit matrices must share one shape, got "
-                f"{self.requester.shape}, {self.worker.shape}, "
-                f"{self.combined.shape}"
-            )
+        """Every block of benefits, whether built from a market, a
+        stream window or a shard slice, passes this one check: three
+        finite 2-D matrices of one shape."""
+        check_same_shape(
+            "benefit matrices", self.requester, self.worker, self.combined
+        )
+        check_weights(self.requester, "requester benefits")
+        check_weights(self.worker, "worker benefits")
+        check_weights(self.combined, "combined benefits")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -23,6 +23,7 @@ from repro.benefit.mutual import MutualCombiner
 from repro.errors import InfeasibleError, ValidationError
 from repro.market.market import LaborMarket
 from repro.matching.hopcroft_karp import hopcroft_karp
+from repro.utils.validation import check_capacities
 
 
 class MBAProblem:
@@ -74,7 +75,9 @@ class MBAProblem:
         ``task_caps`` are the per-row and per-column capacities.  Raises
         :class:`ValidationError` for an empty block, or for capacity
         vectors that do not match it or hold negative or non-integer
-        values.
+        values (:func:`~repro.utils.validation.check_capacities`).
+        Non-finite benefits never get here: :class:`BenefitMatrices`
+        refuses them when the block is built.
         """
         n_workers, n_tasks = benefits.shape
         if n_workers == 0 or n_tasks == 0:
@@ -85,8 +88,8 @@ class MBAProblem:
         problem.market = None
         problem._state(
             benefits,
-            _capacity_vector("worker_caps", worker_caps, n_workers),
-            _capacity_vector("task_caps", task_caps, n_tasks),
+            check_capacities("worker_caps", worker_caps, n_workers),
+            check_capacities("task_caps", task_caps, n_tasks),
             np.ones(n_workers, dtype=bool),
         )
         return problem
@@ -203,16 +206,3 @@ class MBAProblem:
             f"combiner={self.combiner!r})"
         )
 
-
-def _capacity_vector(name: str, caps, size: int) -> np.ndarray:
-    """Check one capacity vector of a benefit block."""
-    caps = np.asarray(caps)
-    if caps.shape != (size,):
-        raise ValidationError(f"{name} shape {caps.shape} != ({size},)")
-    if not np.issubdtype(caps.dtype, np.integer):
-        raise ValidationError(
-            f"{name} must hold integers, got dtype {caps.dtype}"
-        )
-    if np.any(caps < 0):
-        raise ValidationError(f"{name} must be non-negative")
-    return caps.astype(np.int64)

@@ -26,9 +26,9 @@ Registered names (use :func:`get_solver`):
 ``sharded``               partition-by-category solve (optionally on a
                           supervised process pool) with cross-shard
                           refinement and a provable objective-gap report
-``warm``                  warm-start wrapper: fingerprint replay, dual-state
-                          delta-solves (auction prices / Hungarian
-                          potentials), cold fallback
+``warm``                  warm-start wrapper: fingerprint replay,
+                          price-warmed auction delta-solves, cold
+                          fallback
 ``quality-only``          baseline: requester side only (λ=1)
 ``worker-only``           baseline: worker side only (λ=0)
 ``random``                baseline: random feasible positive edges

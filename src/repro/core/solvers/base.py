@@ -142,7 +142,7 @@ class Solver(abc.ABC):
     name: str = "unnamed"
 
     #: True for solvers that thread cross-round warm-start state
-    #: (auction prices, Hungarian potentials, replayable edge sets).
+    #: (auction prices, replayable edge sets).
     #: Such solvers MUST accept a ``warm_state`` keyword in
     #: ``__init__`` so the state is injectable/inspectable through the
     #: registered constructor signature — enforced by lint rule R204.

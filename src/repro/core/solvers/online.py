@@ -38,11 +38,13 @@ def _active_arrival_order(
 def _take_best_tasks(
     problem: MBAProblem,
     worker_index: int,
+    capacities: np.ndarray,
     quota: np.ndarray,
     thresholds: np.ndarray,
 ) -> list[tuple[int, int]]:
-    """Give one arriving worker their best tasks above the thresholds."""
-    capacity = int(problem.market.workers[worker_index].capacity)
+    """Give one arriving worker their best tasks above the thresholds,
+    up to their entry of ``capacities``."""
+    capacity = int(capacities[worker_index])
     if capacity <= 0:
         return []
     scores = problem.benefits.combined[worker_index]
@@ -67,12 +69,15 @@ class OnlineGreedySolver(Solver):
         self.arrivals = arrivals if arrivals is not None else PoissonArrivals()
 
     def solve(self, problem: MBAProblem, seed: SeedLike = None) -> Assignment:
-        quota = problem.task_capacities().astype(int).copy()
+        capacities = problem.worker_capacities()
+        quota = problem.task_capacities()
         no_threshold = np.zeros(problem.n_tasks)
         edges: list[tuple[int, int]] = []
         for worker_index in _active_arrival_order(problem, self.arrivals, seed):
             edges.extend(
-                _take_best_tasks(problem, worker_index, quota, no_threshold)
+                _take_best_tasks(
+                    problem, worker_index, capacities, quota, no_threshold
+                )
             )
         return self._finish(problem, edges)
 
@@ -104,23 +109,28 @@ class OnlineTwoPhaseSolver(Solver):
         cutoff = int(round(self.sample_fraction * len(order)))
         sample, rest = order[:cutoff], order[cutoff:]
 
-        quota = problem.task_capacities().astype(int).copy()
+        capacities = problem.worker_capacities()
+        quota = problem.task_capacities()
         no_threshold = np.zeros(problem.n_tasks)
         edges: list[tuple[int, int]] = []
         for worker_index in sample:
             edges.extend(
-                _take_best_tasks(problem, worker_index, quota, no_threshold)
+                _take_best_tasks(
+                    problem, worker_index, capacities, quota, no_threshold
+                )
             )
 
-        thresholds = self._price_tasks(problem, sample)
+        thresholds = self._price_tasks(problem, sample, capacities)
         for worker_index in rest:
             edges.extend(
-                _take_best_tasks(problem, worker_index, quota, thresholds)
+                _take_best_tasks(
+                    problem, worker_index, capacities, quota, thresholds
+                )
             )
         return self._finish(problem, edges)
 
     def _price_tasks(
-        self, problem: MBAProblem, sample: list[int]
+        self, problem: MBAProblem, sample: list[int], capacities: np.ndarray
     ) -> np.ndarray:
         """Per-task price = its earnings in the sample's optimal matching."""
         prices = np.zeros(problem.n_tasks)
@@ -130,7 +140,7 @@ class OnlineTwoPhaseSolver(Solver):
         # (columns); solve max-weight assignment on the sample.
         rows: list[int] = []
         for i in sample:
-            rows.extend([i] * int(problem.market.workers[i].capacity))
+            rows.extend([i] * int(capacities[i]))
         cols: list[int] = []
         replications = problem.task_capacities()
         for j in range(problem.n_tasks):

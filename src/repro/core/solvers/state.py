@@ -2,8 +2,8 @@
 
 Three solver families carry information from one round to the next —
 the incremental flow solver (previous edges), the warm-start wrapper
-(auction prices / Hungarian potentials), and the sharded solver (which
-reuses both through the warm wrapper).  They all face the same two
+(auction prices), and the sharded solver (which reuses both through
+the warm wrapper).  They all face the same two
 problems, solved here exactly once:
 
 * **Identity across snapshots.**  Matrix indices are only meaningful
@@ -124,18 +124,16 @@ class WarmState:
 
     ``fingerprint``/``edges`` support the *exact* replay path: when the
     next round's problem hashes identically, the previous planned edges
-    ARE the deterministic base solver's answer.  The dual dictionaries
-    (auction prices per task, Hungarian potentials per entity) feed the
-    *approximate* delta-solve path under membership churn.  All fields
-    are picklable, so the state rides simulation checkpoints unchanged.
+    ARE the deterministic base solver's answer.  The auction prices
+    per task feed the *approximate* delta-solve path under membership
+    churn.  All fields are picklable, so the state rides simulation
+    checkpoints unchanged.
     """
 
     fingerprint: bytes | None = None
     edges: tuple[tuple[int, int], ...] | None = None
     edge_id_pairs: frozenset = frozenset()
     task_prices: dict[int, float] = field(default_factory=dict)
-    worker_potentials: dict[int, float] = field(default_factory=dict)
-    task_potentials: dict[int, float] = field(default_factory=dict)
     seen_workers: frozenset = frozenset()
     seen_tasks: frozenset = frozenset()
     rounds_recorded: int = 0
@@ -185,23 +183,3 @@ class WarmState:
             ],
             dtype=float,
         )
-
-    def potential_vectors(
-        self, market, default: float = 0.0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-index ``(u, v)`` Hungarian potentials for the snapshot."""
-        u = np.array(
-            [
-                self.worker_potentials.get(w.worker_id, default)
-                for w in market.workers
-            ],
-            dtype=float,
-        )
-        v = np.array(
-            [
-                self.task_potentials.get(t.task_id, default)
-                for t in market.tasks
-            ],
-            dtype=float,
-        )
-        return u, v

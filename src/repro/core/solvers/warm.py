@@ -11,18 +11,18 @@ three-tier strategy driven by a :class:`~repro.core.solvers.state.WarmState`:
    the base solver, exactly what a cold solve would produce — return
    them without solving.  This is the bit-identity guarantee the perf
    harness and property tests pin.
-2. **Warm delta-solve** (approximate mode only, ``exact=False``): when
-   membership churn since the last record stays at or below
-   ``churn_threshold``, dual state is re-keyed by entity id and fed to
-   the kernel — auction object prices
-   (:meth:`AuctionSolver.solve_with_prices`) or Hungarian potentials
-   (:func:`repro.matching.hungarian.max_weight_assignment`).  Both
-   kernels are *correct for any finite start state* (see their
-   docstrings), so staleness costs bidding rounds / scan steps, never
-   the objective — only tie-breaks may differ from a cold solve, which
-   is why this tier is gated behind ``exact=False``.
+2. **Warm delta-solve** (approximate mode only, ``exact=False``, auction
+   base only): when membership churn since the last record stays at or
+   below ``churn_threshold``, the auction's object prices are re-keyed
+   by task id and fed back to the kernel
+   (:meth:`AuctionSolver.solve_with_prices`).  The auction is *correct
+   for any finite start prices* (see
+   :func:`repro.matching.auction.auction_assignment`), so staleness
+   costs bidding rounds, never the objective — only tie-breaks may
+   differ from a cold solve, which is why this tier is gated behind
+   ``exact=False``.
 3. **Cold solve**: anything else — and the fresh solution plus its
-   duals become the next round's warm state.
+   prices become the next round's warm state.
 
 The state lives on the solver object, so it rides simulation
 checkpoints through the engine's solver pickling; a resumed run
@@ -31,8 +31,6 @@ replays/warm-solves exactly as the uninterrupted one would.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import obs
 from repro.core.assignment import Assignment
 from repro.core.problem import MBAProblem
@@ -40,7 +38,6 @@ from repro.core.solvers.auction_solver import AuctionSolver
 from repro.core.solvers.base import Solver, get_solver, register_solver
 from repro.core.solvers.state import WarmState, problem_fingerprint
 from repro.errors import ValidationError
-from repro.matching.hungarian import max_weight_assignment
 from repro.utils.rng import SeedLike
 
 #: Bases the warm wrapper may delegate to.  All are deterministic and
@@ -49,14 +46,10 @@ SUPPORTED_BASES: tuple[str, ...] = (
     "auction",
     "flow",
     "greedy",
-    "hungarian",
     "local-search",
     "pruned-greedy",
     "sharded",
 )
-
-#: Bases with a dual-state delta-solve path (tier 2).
-WARM_KERNEL_BASES: tuple[str, ...] = ("auction", "hungarian")
 
 
 @register_solver("warm")
@@ -66,18 +59,15 @@ class WarmStartSolver(Solver):
     Parameters
     ----------
     base:
-        One of :data:`SUPPORTED_BASES`.  ``"hungarian"`` is implemented
-        internally (capacity expansion + potential-warmed Kuhn–Munkres
-        with the auction solver's dedup/refill repair) — it is not a
-        standalone registry entry.
+        One of :data:`SUPPORTED_BASES`.
     base_kwargs:
         Constructor kwargs for the base solver.
     churn_threshold:
         Maximum membership-churn fraction for the delta-solve tier.
     exact:
         ``True`` restricts reuse to the provably bit-identical replay
-        tier; ``False`` additionally enables dual-state delta-solving
-        for the kernels in :data:`WARM_KERNEL_BASES`.
+        tier; ``False`` additionally enables price-warmed delta-solving
+        for the ``"auction"`` base.
     warm_state:
         Injectable state (e.g. restored from a checkpoint); a fresh
         empty :class:`WarmState` when omitted.
@@ -124,7 +114,7 @@ class WarmStartSolver(Solver):
         churn = state.churn_fraction(problem.market)
         use_warm_kernel = (
             not self.exact
-            and self.base in WARM_KERNEL_BASES
+            and self.base == "auction"
             and churn <= self.churn_threshold
         )
         if self.base == "auction":
@@ -137,24 +127,7 @@ class WarmStartSolver(Solver):
                 task.task_id: float(prices[j])
                 for j, task in enumerate(problem.market.tasks)
             }
-        elif self.base == "hungarian":
-            start = (
-                state.potential_vectors(problem.market)
-                if use_warm_kernel
-                else None
-            )
-            edges, duals = _hungarian_solve(problem, start)
-            u, v = duals
-            state.worker_potentials = {
-                worker.worker_id: float(u[i])
-                for i, worker in enumerate(problem.market.workers)
-            }
-            state.task_potentials = {
-                task.task_id: float(v[j])
-                for j, task in enumerate(problem.market.tasks)
-            }
         else:
-            use_warm_kernel = False
             base_solver = get_solver(self.base, **self.base_kwargs)
             edges = list(base_solver.solve(problem, seed).edges)
             self.last_report = getattr(base_solver, "last_report", None)
@@ -171,69 +144,3 @@ class WarmStartSolver(Solver):
             obs.count("solver.warm.cold_solves")
         return assignment
 
-
-def _hungarian_solve(
-    problem: MBAProblem,
-    start_potentials: tuple[np.ndarray, np.ndarray] | None,
-) -> tuple[list[tuple[int, int]], tuple[np.ndarray, np.ndarray]]:
-    """Capacity-expanded Hungarian solve with entity-keyed potentials.
-
-    Mirrors the auction solver's expansion: worker copies per unit of
-    capacity, task slot copies per unit of replication.  Copy-level
-    potentials are broadcast from (and afterwards reduced back to, via
-    the first copy of each entity) entity-level vectors, so they re-key
-    cleanly across membership churn.  The dedup/refill repair is shared
-    with :class:`~repro.core.solvers.auction_solver.AuctionSolver`.
-    """
-    caps_w = problem.worker_capacities()
-    caps_t = problem.task_capacities()
-    n_workers, n_tasks = problem.n_workers, problem.n_tasks
-    bidders = np.repeat(np.arange(n_workers), caps_w.astype(int))
-    slots = np.repeat(np.arange(n_tasks), caps_t.astype(int))
-    if bidders.size == 0 or slots.size == 0:
-        return [], (np.zeros(n_workers), np.zeros(n_tasks))
-
-    clipped = np.maximum(problem.benefits.combined, 0.0)
-    values = clipped[np.ix_(bidders, slots)].astype(float)
-    if float(values.max()) <= 0.0:
-        return [], (np.zeros(n_workers), np.zeros(n_tasks))
-
-    copy_potentials = None
-    if start_potentials is not None:
-        entity_u, entity_v = start_potentials
-        copy_potentials = (
-            np.asarray(entity_u, dtype=float)[bidders],
-            np.asarray(entity_v, dtype=float)[slots],
-        )
-    assignment, _total, (copy_u, copy_v) = max_weight_assignment(
-        values, start_potentials=copy_potentials, return_state=True
-    )
-
-    pairs = [
-        (bidder_position, slot_position)
-        for bidder_position, slot_position in enumerate(assignment)
-        if slot_position >= 0
-    ]
-    edges = AuctionSolver._collect_edges(
-        problem,
-        pairs,
-        bidders.tolist(),
-        slots.tolist(),
-        values,
-        int(slots.size),
-    )
-
-    # First copy of each entity carries its representative potential;
-    # ``np.repeat(arange, caps)`` is sorted, so first-copy positions
-    # are the exclusive prefix sums of the capacities.
-    int_caps_w = caps_w.astype(np.int64)
-    int_caps_t = caps_t.astype(np.int64)
-    offsets_w = np.concatenate(([0], np.cumsum(int_caps_w)[:-1]))
-    offsets_t = np.concatenate(([0], np.cumsum(int_caps_t)[:-1]))
-    # Zero-capacity entities point past the end; clip (they are masked
-    # out by the ``where`` anyway, but both branches are evaluated).
-    offsets_w = np.minimum(offsets_w, bidders.size - 1)
-    offsets_t = np.minimum(offsets_t, slots.size - 1)
-    u = np.where(int_caps_w > 0, copy_u[offsets_w], 0.0)
-    v = np.where(int_caps_t > 0, copy_v[offsets_t], 0.0)
-    return edges, (u, v)

@@ -8,7 +8,10 @@ row of a generated market.  Either way a failure raises the same
 entity.  Each range check is written as "inside the valid set", never as
 "``x < 0``", so it rejects NaN too; the float fields also reject ±inf,
 and the integer fields (capacity, category, replication) any value that
-is not a whole number, so no later ``dtype=int`` cast can truncate one.
+is not a whole number.  They then require an integer dtype
+(:func:`~repro.utils.validation.check_integers`), so a whole float such
+as ``capacity=2.0`` is refused on both paths with one text and every
+entity holds an integer.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.utils.validation import check_integers, check_shape
 
 
 def _reject(
@@ -47,17 +51,11 @@ def _not_whole_at_least(values: np.ndarray, low: int) -> np.ndarray:
     return bad
 
 
-def check_shape(name: str, array: np.ndarray, expected: tuple[int, ...]) -> None:
-    if array.shape != expected:
-        raise ValidationError(
-            f"{name} has shape {array.shape}, expected {expected}"
-        )
-
-
 def column(name: str, values, n: int, *, integer: bool = False) -> np.ndarray:
     """``values`` as a length-``n`` column of floats, or with
-    ``integer`` in their own dtype, which :func:`check_integers` checks
-    after the field rules have named any non-integer entity.
+    ``integer`` in their own dtype, which the field checks refuse
+    unless it is an integer one, after naming any entity whose value
+    is not a whole number.
 
     A scalar stands for ``n`` equal entries and comes back as a
     read-only broadcast view (stride 0), so no ``n``-entry copy exists.
@@ -66,14 +64,6 @@ def column(name: str, values, n: int, *, integer: bool = False) -> np.ndarray:
     if values.ndim:
         check_shape(name, values, (n,))
     return np.broadcast_to(values, (n,))
-
-
-def check_integers(**columns: np.ndarray) -> None:
-    """Each column has an integer dtype: a column of whole floats is
-    refused too, so the entities hold Python ints."""
-    for name, values in columns.items():
-        if values.size and values.dtype.kind not in "iu":
-            raise ValidationError(f"{name} must be integers, got {values.dtype}")
 
 
 def check_skills(ids: Sequence[int], skills: np.ndarray) -> None:
@@ -108,6 +98,7 @@ def check_worker_fields(
         "worker", ids, _outside_unit(interests).any(axis=1),
         "interests must be finite and lie in [0, 1]",
     )
+    check_integers(capacities=capacities)
 
 
 def check_task_fields(
@@ -139,6 +130,7 @@ def check_task_fields(
         "task", ids, ~(np.isfinite(efforts) & (efforts > 0)),
         "effort must be finite and > 0, got {}", efforts,
     )
+    check_integers(categories=categories, replications=replications)
 
 
 def check_categories(

@@ -17,9 +17,7 @@ from repro.errors import ValidationError
 from repro.market.categories import CategoryTaxonomy
 from repro.market.checks import (
     check_categories,
-    check_integers,
     check_requesters,
-    check_shape,
     check_skills,
     check_task_fields,
     check_worker_fields,
@@ -28,6 +26,7 @@ from repro.market.checks import (
 from repro.market.requester import Requester
 from repro.market.task import Task
 from repro.market.worker import Worker, accuracy
+from repro.utils.validation import check_integers, check_shape
 
 
 def _python_scalars(values: np.ndarray) -> list:
@@ -129,12 +128,7 @@ class LaborMarket:
         check_task_fields(
             task_ids, categories, difficulties, payments, replications, efforts
         )
-        check_integers(
-            categories=categories,
-            capacities=capacities,
-            replications=replications,
-            requester_ids=requester_ids,
-        )
+        check_integers(requester_ids=requester_ids)
         check_categories(task_ids, categories, n_cat)
         requesters = list(requesters)
         check_requesters(

@@ -46,6 +46,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ConvergenceError, ValidationError
+from repro.utils.validation import check_start, check_weights
 
 _MODES = ("gauss-seidel", "jacobi")
 
@@ -67,8 +68,8 @@ def auction_assignment(
     Parameters
     ----------
     weights:
-        ``(n, m)`` value matrix with ``n <= m``; every row gets a
-        distinct column.
+        ``(n, m)`` finite value matrix with ``n <= m``; every row gets
+        a distinct column.
     epsilon_start:
         Initial ε (defaults to ``max|w| / 2``).
     scaling:
@@ -95,9 +96,7 @@ def auction_assignment(
     but maximizing; with ``return_state`` a third element carries the
     final length-``m`` prices.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2:
-        raise ValidationError(f"weights must be 2-D, got {weights.shape}")
+    weights = check_weights(weights, wide=True)
     if mode not in _MODES:
         raise ValidationError(
             f"unknown auction mode {mode!r}; expected one of {_MODES}"
@@ -106,22 +105,11 @@ def auction_assignment(
     if start_prices is None:
         initial_prices = np.zeros(m)
     else:
-        initial_prices = np.asarray(start_prices, dtype=float).copy()
-        if initial_prices.shape != (m,):
-            raise ValidationError(
-                f"start_prices must have shape ({m},), "
-                f"got {initial_prices.shape}"
-            )
-        if not np.all(np.isfinite(initial_prices)):
-            raise ValidationError("start_prices must be finite")
+        initial_prices = check_start("start_prices", start_prices, m)
     if n == 0:
         if return_state:
             return [], 0.0, initial_prices
         return [], 0.0
-    if n > m:
-        raise ValidationError(f"need n_rows <= n_cols, got {n} x {m}")
-    if not np.all(np.isfinite(weights)):
-        raise ValidationError("weights must be finite")
 
     span = float(np.abs(weights).max())
     if span <= 0.0:

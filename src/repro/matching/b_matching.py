@@ -34,41 +34,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.errors import ValidationError
 from repro.utils.stats import edge_matrix_sum
+from repro.utils.validation import check_capacities, check_weights
 
 #: Stop tolerance: augment only while the cheapest path's true cost is
 #: below ``-_EPS`` (the same rule as ``min_cost_flow``).
 _EPS = 1e-9
-
-
-def validate_b_matching_inputs(
-    weights: np.ndarray,
-    row_capacities: np.ndarray,
-    col_capacities: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coerce and check a b-matching instance; raises ``ValidationError``
-    for a non-2-D or non-finite weight matrix, capacity vectors of the
-    wrong shape, or negative capacities."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2:
-        raise ValidationError(f"weights must be 2-D, got {weights.shape}")
-    n, m = weights.shape
-    if not np.all(np.isfinite(weights)):
-        raise ValidationError("weights must be finite")
-    row_capacities = np.asarray(row_capacities, dtype=int)
-    col_capacities = np.asarray(col_capacities, dtype=int)
-    if row_capacities.shape != (n,):
-        raise ValidationError(
-            f"row_capacities shape {row_capacities.shape} != ({n},)"
-        )
-    if col_capacities.shape != (m,):
-        raise ValidationError(
-            f"col_capacities shape {col_capacities.shape} != ({m},)"
-        )
-    if np.any(row_capacities < 0) or np.any(col_capacities < 0):
-        raise ValidationError("capacities must be non-negative")
-    return weights, row_capacities, col_capacities
 
 
 def max_weight_b_matching(
@@ -84,7 +55,9 @@ def max_weight_b_matching(
         ``(n, m)`` finite edge weights; only positive-weight edges are
         candidates.
     row_capacities / col_capacities:
-        Per-row (worker) and per-column (task) degree bounds.
+        Per-row (worker) and per-column (task) degree bounds, as
+        non-negative integers.  Both inputs are checked by the shared
+        rules of :mod:`repro.utils.validation`.
 
     Returns
     -------
@@ -92,10 +65,10 @@ def max_weight_b_matching(
         Chosen edges as (row, col) pairs, sorted, and their summed
         weight.
     """
-    weights, row_capacities, col_capacities = validate_b_matching_inputs(
-        weights, row_capacities, col_capacities
-    )
+    weights = check_weights(weights)
     n, m = weights.shape
+    row_capacities = check_capacities("row_capacities", row_capacities, n)
+    col_capacities = check_capacities("col_capacities", col_capacities, m)
     candidate = (
         (weights > 0)
         & (row_capacities[:, None] > 0)

@@ -8,6 +8,7 @@ flow O(1) without hash lookups.
 from __future__ import annotations
 
 from repro.errors import ValidationError
+from repro.utils.validation import check_nonnegative
 
 
 class FlowNetwork:
@@ -40,8 +41,7 @@ class FlowNetwork:
         """
         self._check_node(u)
         self._check_node(v)
-        if capacity < 0:
-            raise ValidationError(f"capacity must be >= 0, got {capacity}")
+        check_nonnegative("capacity", capacity)
         index = len(self.to)
         self.to.extend((v, u))
         self.cap.extend((capacity, 0.0))

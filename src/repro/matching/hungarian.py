@@ -20,93 +20,34 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.errors import ValidationError
+from repro.utils.validation import check_weights
 
 
-def hungarian(
-    cost: np.ndarray,
-    start_potentials: tuple[np.ndarray, np.ndarray] | None = None,
-    return_state: bool = False,
-) -> tuple[list[int], float] | tuple[list[int], float, tuple[np.ndarray, np.ndarray]]:
+def hungarian(cost: np.ndarray) -> tuple[list[int], float]:
     """Minimum-cost perfect assignment of rows to distinct columns.
 
     Parameters
     ----------
     cost:
-        ``(n, m)`` matrix with ``n <= m``; entry ``[i, j]`` is the cost
-        of assigning row ``i`` to column ``j``.
-    start_potentials:
-        Optional ``(u, v)`` warm start: length-``n`` row and length-``m``
-        column potentials from a previous, similar instance.  Any finite
-        values are *exact*, via two normalizations applied on entry.
-        First, correctness of the Dijkstra-style scan needs a
-        dual-feasible start (``u[i] + v[j] <= cost[i, j]`` everywhere),
-        so the supplied ``u`` is replaced by the tightest row potentials
-        feasible for ``v``: ``u[i] = min_j(cost[i, j] - v[j])`` — the
-        column potentials are the valuable duals, row potentials
-        re-normalize in one vectorized reduction.  Second, a
-        *rectangular* instance is squared up with zero dummy rows:
-        with ``n < m`` the column constraints are inequalities whose
-        duals must satisfy ``v <= 0`` *and* complementary slackness
-        forces ``v = 0`` on unmatched columns — conditions a warm ``v``
-        cannot be assumed (or cheaply forced) to meet, whereas the
-        squared problem has equality constraints with free duals and
-        the identical optimum (dummy rows absorb the unmatched columns
-        at zero cost).  Good potentials shrink the augmenting-path
-        search; stale ones only slow it down.
-    return_state:
-        When true, additionally return the final ``(u, v)`` potentials
-        (lengths ``n`` and ``m``) for warm-starting the next call.
+        ``(n, m)`` finite matrix with ``n <= m``; entry ``[i, j]`` is
+        the cost of assigning row ``i`` to column ``j``.  It is checked
+        by :func:`~repro.utils.validation.check_weights`, so its errors
+        read as those of every other kernel's weight matrix.
 
     Returns
     -------
     (assignment, total)
         ``assignment[i]`` is the column matched to row ``i``; ``total``
-        is the summed cost.  With ``return_state`` a third element
-        carries the final potentials.
+        is the summed cost.
     """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise ValidationError(f"cost must be 2-D, got shape {cost.shape}")
+    cost = check_weights(cost, wide=True)
     n, m = cost.shape
     if n == 0:
-        if return_state:
-            return [], 0.0, (np.zeros(0), np.zeros(m))
         return [], 0.0
-    if n > m:
-        raise ValidationError(
-            f"cost must have n_rows <= n_cols, got {n} x {m}; "
-            "transpose or pad the matrix"
-        )
-    if not np.all(np.isfinite(cost)):
-        raise ValidationError("cost matrix must be finite")
-
-    n_real = n
-    if start_potentials is not None:
-        u0 = np.asarray(start_potentials[0], dtype=float)
-        v0 = np.asarray(start_potentials[1], dtype=float)
-        if u0.shape != (n,) or v0.shape != (m,):
-            raise ValidationError(
-                f"start_potentials must have shapes ({n},) and ({m},), "
-                f"got {u0.shape} and {v0.shape}"
-            )
-        if not (np.all(np.isfinite(u0)) and np.all(np.isfinite(v0))):
-            raise ValidationError("start_potentials must be finite")
-        if n < m:
-            # Square up so column duals are free (see the docstring);
-            # dummy zero rows leave the optimum and total unchanged.
-            cost = np.vstack([cost, np.zeros((m - n, m))])
-            n = m
 
     # 1-indexed potentials; p[j] = row matched to column j (0 = free).
     u = np.zeros(n + 1)
     v = np.zeros(m + 1)
-    if start_potentials is not None:
-        v[1:] = v0
-        # Dual-feasibility projection: the largest row potentials with
-        # u[i] + v[j] <= cost[i, j] for all j.  The supplied u only
-        # seeds the search, so the projection discards it.
-        u[1:] = (cost - v0[np.newaxis, :]).min(axis=1)
     p = np.zeros(m + 1, dtype=np.int64)
     way = np.zeros(m + 1, dtype=np.int64)
     minv = np.empty(m + 1)
@@ -156,63 +97,24 @@ def hungarian(
     assignment = np.full(n, -1, dtype=np.int64)
     matched = np.flatnonzero(p[1:])
     assignment[p[1 + matched] - 1] = matched
-    # Dummy rows added for a warm start are dropped again; their zero
-    # cost rows never contribute to the total.
-    assignment = assignment[:n_real]
-    total = float(cost[np.arange(n_real), assignment].sum())
-    if return_state:
-        return (
-            assignment.tolist(),
-            total,
-            (u[1 : n_real + 1].copy(), v[1:].copy()),
-        )
+    total = float(cost[np.arange(n), assignment].sum())
     return assignment.tolist(), total
 
 
-def max_weight_assignment(
-    weights: np.ndarray,
-    start_potentials: tuple[np.ndarray, np.ndarray] | None = None,
-    return_state: bool = False,
-) -> tuple[list[int], float] | tuple[list[int], float, tuple[np.ndarray, np.ndarray]]:
+def max_weight_assignment(weights: np.ndarray) -> tuple[list[int], float]:
     """Maximum-weight assignment where leaving a row unmatched is free.
 
     Pads the (negated) weight matrix with zero columns so rows whose
     best edge is negative stay effectively unassigned (signalled by
-    ``-1`` in the returned list).  ``start_potentials``/``return_state``
-    mirror :func:`hungarian` in *entity* space — ``u`` of length ``n``
-    and ``v`` of length ``m`` — with the dummy-column potentials pinned
-    to zero on entry and dropped on exit.
+    ``-1`` in the returned list).
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2:
-        raise ValidationError(
-            f"weights must be 2-D, got shape {weights.shape}"
-        )
+    weights = check_weights(weights)
     n, m = weights.shape
     if n == 0 or m == 0:
-        if return_state:
-            return [-1] * n, 0.0, (np.zeros(n), np.zeros(m))
         return [-1] * n, 0.0
     # Negate for minimization; add n dummy zero-cost columns that mean
     # "unassigned" so the perfect-assignment requirement is harmless.
     padded = np.zeros((n, m + n))
     padded[:, :m] = -weights
-    padded_potentials = None
-    if start_potentials is not None:
-        u0 = np.asarray(start_potentials[0], dtype=float)
-        v0 = np.asarray(start_potentials[1], dtype=float)
-        if u0.shape != (n,) or v0.shape != (m,):
-            raise ValidationError(
-                f"start_potentials must have shapes ({n},) and ({m},), "
-                f"got {u0.shape} and {v0.shape}"
-            )
-        padded_potentials = (u0, np.concatenate([v0, np.zeros(n)]))
-    solved = hungarian(
-        padded, start_potentials=padded_potentials, return_state=return_state
-    )
-    assignment, neg_total = solved[0], solved[1]
-    result = [j if j < m else -1 for j in assignment]
-    if return_state:
-        u, v_padded = solved[2]
-        return result, -neg_total, (u, v_padded[:m])
-    return result, -neg_total
+    assignment, neg_total = hungarian(padded)
+    return [j if j < m else -1 for j in assignment], -neg_total

@@ -25,6 +25,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.matching.hungarian import max_weight_assignment
 from repro.utils.rng import SeedLike, as_rng
+from repro.utils.validation import check_capacities, check_fraction
 
 #: Returns the weight of (left, right) or None if the edge is absent.
 WeightFn = Callable[[int, int], float | None]
@@ -35,6 +36,15 @@ def _check_order(order: Sequence[int], n_left: int) -> None:
         raise ValidationError(
             f"order must be a permutation of range({n_left})"
         )
+
+
+def _remaining(right_capacities: Sequence[int] | None, n_right: int) -> list[int]:
+    """Spare capacity per right vertex, one each when not given."""
+    if right_capacities is None:
+        return [1] * n_right
+    return check_capacities(
+        "right_capacities", right_capacities, n_right
+    ).tolist()
 
 
 def online_greedy_matching(
@@ -50,15 +60,7 @@ def online_greedy_matching(
     every candidate edge is non-positive/absent.
     """
     _check_order(order, len(order))
-    remaining = (
-        list(right_capacities)
-        if right_capacities is not None
-        else [1] * n_right
-    )
-    if len(remaining) != n_right:
-        raise ValidationError(
-            f"right_capacities has {len(remaining)} entries, expected {n_right}"
-        )
+    remaining = _remaining(right_capacities, n_right)
     matches: list[tuple[int, int]] = []
     for left in order:
         best_right = -1
@@ -121,19 +123,12 @@ def two_phase_matching(
     low-value grabs that would block high-value future edges.
     """
     _check_order(order, len(order))
-    if not 0.0 <= sample_fraction <= 1.0:
-        raise ValidationError(
-            f"sample_fraction must lie in [0, 1], got {sample_fraction}"
-        )
+    check_fraction("sample_fraction", sample_fraction)
     n_left = len(order)
     cutoff = int(round(sample_fraction * n_left))
     sample, rest = list(order[:cutoff]), list(order[cutoff:])
 
-    remaining = (
-        list(right_capacities)
-        if right_capacities is not None
-        else [1] * n_right
-    )
+    remaining = _remaining(right_capacities, n_right)
     matches: list[tuple[int, int]] = []
 
     def greedy_step(left: int, threshold: Sequence[float]) -> None:

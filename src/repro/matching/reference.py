@@ -24,11 +24,10 @@ import math
 
 import numpy as np
 
-from repro.errors import ValidationError
-from repro.matching.b_matching import validate_b_matching_inputs
 from repro.matching.graph import FlowNetwork
 from repro.matching.mincost_flow import min_cost_flow
 from repro.utils.stats import edge_matrix_sum
+from repro.utils.validation import check_capacities, check_weights
 
 
 def hungarian_reference(cost: np.ndarray) -> tuple[list[int], float]:
@@ -39,19 +38,10 @@ def hungarian_reference(cost: np.ndarray) -> tuple[list[int], float]:
     ``n × m`` cost matrix with ``n <= m``; minimizes and assigns every
     row.
     """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise ValidationError(f"cost must be 2-D, got shape {cost.shape}")
+    cost = check_weights(cost, wide=True)
     n, m = cost.shape
     if n == 0:
         return [], 0.0
-    if n > m:
-        raise ValidationError(
-            f"cost must have n_rows <= n_cols, got {n} x {m}; "
-            "transpose or pad the matrix"
-        )
-    if not np.all(np.isfinite(cost)):
-        raise ValidationError("cost matrix must be finite")
 
     inf = math.inf
     # 1-indexed potentials; p[j] = row matched to column j (0 = free).
@@ -116,10 +106,10 @@ def b_matching_reference(
     :func:`repro.matching.mincost_flow.min_cost_flow` with the
     stop-when-nonimproving rule.
     """
-    weights, row_capacities, col_capacities = validate_b_matching_inputs(
-        weights, row_capacities, col_capacities
-    )
+    weights = check_weights(weights)
     n, m = weights.shape
+    row_capacities = check_capacities("row_capacities", row_capacities, n)
+    col_capacities = check_capacities("col_capacities", col_capacities, m)
 
     source = 0
     worker_base = 1

@@ -26,7 +26,11 @@ from collections import deque
 import numpy as np
 
 from repro import obs
-from repro.errors import ValidationError
+from repro.utils.validation import (
+    check_capacities,
+    check_same_shape,
+    check_weights,
+)
 
 
 def deferred_acceptance(
@@ -46,7 +50,8 @@ def deferred_acceptance(
         ``(n, m)`` scores: task ``j``'s value for worker ``i``; only
         strictly positive entries are acceptable.
     worker_capacities / task_capacities:
-        How many partners each side can hold.
+        How many partners each side can hold, checked as the
+        b-matching kernel's ``row_capacities``/``col_capacities``.
 
     Returns
     -------
@@ -56,18 +61,14 @@ def deferred_acceptance(
     would profitably deviate (taking an open slot or displacing their
     worst-held partner).
     """
-    worker_preferences = np.asarray(worker_preferences, dtype=float)
-    task_preferences = np.asarray(task_preferences, dtype=float)
-    if worker_preferences.shape != task_preferences.shape:
-        raise ValidationError(
-            "preference matrices must share a shape, got "
-            f"{worker_preferences.shape} vs {task_preferences.shape}"
-        )
+    check_same_shape(
+        "preference matrices", worker_preferences, task_preferences
+    )
+    worker_preferences = check_weights(worker_preferences)
+    task_preferences = check_weights(task_preferences)
     n, m = worker_preferences.shape
-    worker_capacities = np.asarray(worker_capacities, dtype=int)
-    task_capacities = np.asarray(task_capacities, dtype=int)
-    if worker_capacities.shape != (n,) or task_capacities.shape != (m,):
-        raise ValidationError("capacity vectors must match matrix shape")
+    worker_capacities = check_capacities("row_capacities", worker_capacities, n)
+    task_capacities = check_capacities("col_capacities", task_capacities, m)
 
     # Each worker's proposal order: acceptable tasks, best first.
     proposal_order: list[deque[int]] = []
@@ -141,9 +142,14 @@ def blocking_pairs(
     worse than ``i``.  Fewer blocking pairs = more "mutually
     agreeable" in the matching-theory sense; F19 reports the count.
     """
-    worker_preferences = np.asarray(worker_preferences, dtype=float)
-    task_preferences = np.asarray(task_preferences, dtype=float)
+    check_same_shape(
+        "preference matrices", worker_preferences, task_preferences
+    )
+    worker_preferences = check_weights(worker_preferences)
+    task_preferences = check_weights(task_preferences)
     n, m = worker_preferences.shape
+    worker_capacities = check_capacities("row_capacities", worker_capacities, n)
+    task_capacities = check_capacities("col_capacities", task_capacities, m)
     edge_set = set(edges)
     held_by_worker: dict[int, list[int]] = {}
     held_by_task: dict[int, list[int]] = {}
@@ -151,8 +157,6 @@ def blocking_pairs(
         held_by_worker.setdefault(i, []).append(j)
         held_by_task.setdefault(j, []).append(i)
 
-    worker_capacities = np.asarray(worker_capacities, dtype=int)
-    task_capacities = np.asarray(task_capacities, dtype=int)
     blockers: list[tuple[int, int]] = []
     for i in range(n):
         for j in range(m):

@@ -397,7 +397,7 @@ class Simulation:
             "estimator": estimator,
             # The whole solver object: history-aware solvers (previous
             # edges) and warm-start wrappers (WarmState with prices /
-            # potentials / replayable edges) resume bit-identically
+            # replayable edges) resume bit-identically
             # because their cross-round state pickles with them.
             "solver": solver,
             "rounds": list(result.rounds),

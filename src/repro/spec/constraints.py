@@ -296,8 +296,8 @@ SHARDABLE_SOLVERS = (
 
 #: Bases the warm wrapper accepts when the solver is NOT sharded
 #: (sharded wrapping is composed by the compiler itself).  Mirrors
-#: ``repro.core.solvers.warm.SUPPORTED_BASES`` minus "hungarian"
-#: (internal-only) and "sharded" (composed, not configured).
+#: ``repro.core.solvers.warm.SUPPORTED_BASES`` minus "sharded"
+#: (composed, not configured).
 WARMABLE_SOLVERS = (
     "auction",
     "flow",

@@ -3,6 +3,16 @@
 These raise :class:`repro.errors.ValidationError` with messages that
 name the offending argument, so failures surface at the API boundary
 instead of deep inside a solver.
+
+The array rules of the assignment problem live here, each written
+once: a weight matrix (:func:`check_weights`), a capacity vector
+(:func:`check_capacities`) and a start vector (:func:`check_start`).
+:class:`~repro.benefit.matrices.BenefitMatrices`,
+:meth:`MBAProblem.from_benefits
+<repro.core.problem.MBAProblem.from_benefits>` and every public
+matching kernel call them, so one bad input gives one text wherever it
+enters.  The entity checks of :mod:`repro.market.checks` share
+:func:`check_shape` and :func:`check_integers`.
 """
 
 from __future__ import annotations
@@ -35,9 +45,7 @@ def check_fraction(name: str, value: float) -> float:
 
 def check_probability_matrix(name: str, matrix: np.ndarray) -> np.ndarray:
     """Require a row-stochastic matrix (rows sum to 1, entries in [0, 1])."""
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2:
-        raise ValidationError(f"{name} must be 2-D, got shape {arr.shape}")
+    arr = _two_d(name, matrix)
     if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
         raise ValidationError(f"{name} entries must lie in [0, 1]")
     row_sums = arr.sum(axis=1)
@@ -46,3 +54,77 @@ def check_probability_matrix(name: str, matrix: np.ndarray) -> np.ndarray:
             f"{name} rows must sum to 1, got row sums {row_sums!r}"
         )
     return arr
+
+
+def check_shape(name: str, array: np.ndarray, expected: tuple[int, ...]) -> None:
+    if array.shape != expected:
+        raise ValidationError(
+            f"{name} has shape {array.shape}, expected {expected}"
+        )
+
+
+def check_integers(**columns: np.ndarray) -> None:
+    """Each column has an integer dtype: a column of whole floats is
+    refused too, so no later ``dtype=int`` cast can truncate one."""
+    for name, values in columns.items():
+        if values.size and values.dtype.kind not in "iu":
+            raise ValidationError(f"{name} must be integers, got {values.dtype}")
+
+
+def check_same_shape(what: str, *arrays: np.ndarray) -> None:
+    """All of ``arrays`` share one shape."""
+    shapes = [np.shape(array) for array in arrays]
+    if len(set(shapes)) > 1:
+        raise ValidationError(
+            f"{what} must share one shape, got "
+            + ", ".join(map(str, shapes))
+        )
+
+
+def _two_d(name: str, matrix) -> np.ndarray:
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2:
+        raise ValidationError(f"{name} must be 2-D, got shape {matrix.shape}")
+    return matrix
+
+
+def _check_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{name} must be finite")
+
+
+def check_weights(
+    weights, name: str = "weights", *, wide: bool = False
+) -> np.ndarray:
+    """``weights`` as a 2-D float matrix of finite entries; with
+    ``wide``, one with at most as many rows as columns (every row is
+    then assignable to a distinct column)."""
+    weights = _two_d(name, weights)
+    n, m = weights.shape
+    if wide and n > m:
+        raise ValidationError(
+            f"{name} must have n_rows <= n_cols, got {n} x {m}; "
+            "transpose or pad the matrix"
+        )
+    _check_finite(name, weights)
+    return weights
+
+
+def check_capacities(name: str, caps, size: int) -> np.ndarray:
+    """``caps`` as a length-``size`` vector of non-negative integers
+    (an ``int64`` copy)."""
+    caps = np.asarray(caps)
+    check_shape(name, caps, (size,))
+    check_integers(**{name: caps})
+    if not (caps >= 0).all():
+        raise ValidationError(f"{name} must be non-negative")
+    return caps.astype(np.int64)
+
+
+def check_start(name: str, start, size: int) -> np.ndarray:
+    """``start`` as a fresh length-``size`` float vector of finite
+    entries, which the caller may update in place."""
+    start = np.array(start, dtype=float)
+    check_shape(name, start, (size,))
+    _check_finite(name, start)
+    return start

@@ -107,3 +107,21 @@ class TestOnlineTwoPhase:
 
         with pytest.raises(ValidationError):
             get_solver("online-two-phase", sample_fraction=1.5)
+
+
+class TestBlockProblems:
+    """The online solvers read capacities from the problem, so they run
+    on a benefit block with no market behind it."""
+
+    @pytest.mark.parametrize("name", ["online-greedy", "online-two-phase"])
+    def test_block_gives_the_market_edges(self, name):
+        problem = _problem(seed=4, capacity_low=1, capacity_high=3)
+        block = MBAProblem.from_benefits(
+            problem.benefits,
+            problem.worker_capacities(),
+            problem.task_capacities(),
+        )
+        on_market = get_solver(name).solve(problem, seed=2)
+        on_block = get_solver(name).solve(block, seed=2)
+        assert on_block.edges == on_market.edges
+        assert on_block.edges

@@ -128,7 +128,7 @@ class TestWarmState:
         grown = _problem(seed=99, n_workers=24, n_tasks=12)
         assert state.churn_fraction(grown.market) == pytest.approx(0.5)
 
-    def test_price_and_potential_vectors_default_and_recall(self):
+    def test_price_vector_default_and_recall(self):
         problem = _problem()
         market = problem.market
         state = WarmState()
@@ -136,16 +136,10 @@ class TestWarmState:
             state.price_vector(market), np.zeros(market.n_tasks)
         )
         task_id = market.tasks[1].task_id
-        worker_id = market.workers[2].worker_id
         state.task_prices[task_id] = 2.5
-        state.worker_potentials[worker_id] = -1.0
-        state.task_potentials[task_id] = 0.75
         prices = state.price_vector(market)
         assert prices[1] == 2.5
         assert prices[0] == 0.0
-        u, v = state.potential_vectors(market)
-        assert u[2] == -1.0
-        assert v[1] == 0.75
 
     def test_picklable_for_checkpoints(self):
         import pickle

@@ -115,30 +115,6 @@ class TestWarmKernels:
         ).combined_total()
         assert total == pytest.approx(cold_total, rel=0.02, abs=1e-9)
 
-    def test_warm_hungarian_exact_on_unit_capacity(self):
-        # Unit capacities and single replication: no capacity-expansion
-        # repair ambiguity, so warm and cold totals agree exactly.
-        def unit_problem(seed):
-            return _problem(
-                seed=seed,
-                capacity_low=1,
-                capacity_high=1,
-                replication_choices=(1,),
-            )
-
-        warm = get_solver(
-            "warm", base="hungarian", exact=False, churn_threshold=1.0
-        )
-        cold = get_solver(
-            "warm", base="hungarian", exact=True
-        )
-        warm.solve(unit_problem(41), seed=0)
-        problem = unit_problem(42)
-        total = warm.solve(problem, seed=0).combined_total()
-        assert warm.last_warm_outcome == "warm"
-        cold_total = cold.solve(problem, seed=0).combined_total()
-        assert total == pytest.approx(cold_total, rel=1e-9)
-
     def test_churn_threshold_gates_warm_kernel(self):
         warm = get_solver(
             "warm", base="auction", exact=False, churn_threshold=0.0

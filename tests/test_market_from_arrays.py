@@ -215,6 +215,27 @@ class TestSameErrorAsEntities:
         assert entity == _error(lambda: _from_arrays(**columns))
         assert "must be an integer" in entity
 
+    @pytest.mark.parametrize(
+        "column, build",
+        [
+            (
+                "capacities",
+                lambda v: Worker(worker_id=1, skills=np.full(3, 0.5), capacity=v),
+            ),
+            ("replications", lambda v: Task(task_id=1, category=0, replication=v)),
+            ("categories", lambda v: Task(task_id=1, category=v)),
+        ],
+    )
+    def test_whole_float_count(self, column, build):
+        # A whole float passes the field rule but not the integer-dtype
+        # rule, on the one-row path as on the column path.
+        columns = _columns()
+        columns[column] = columns[column].astype(float)
+        columns[column][1] = 2.0
+        entity = _error(lambda: build(2.0))
+        assert entity == _error(lambda: _from_arrays(**columns))
+        assert entity == f"{column} must be integers, got float64"
+
     def test_category_outside_taxonomy(self):
         list_built = _error(
             lambda: LaborMarket(

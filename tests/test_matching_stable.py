@@ -139,6 +139,12 @@ class TestBlockingPairs:
             [], worker_prefs, task_prefs, _ones(1), _ones(1)
         ) == []
 
+    def test_fractional_capacity_refused_not_truncated(self):
+        with pytest.raises(ValidationError, match="must be integers"):
+            blocking_pairs(
+                [], np.ones((2, 2)), np.ones((2, 2)), [1.5, 1], _ones(2)
+            )
+
 
 class TestStableSolver:
     def test_registered_and_stable(self, small_problem):

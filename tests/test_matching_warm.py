@@ -1,11 +1,9 @@
-"""Warm-start contracts of the matching kernels.
+"""Warm-start contract of the auction kernel.
 
-The warm wrapper's approximate tier relies on two kernel-level
-guarantees pinned here: the auction reaches ε-complementary slackness
-from *any* finite start prices, and the Hungarian solve normalizes any
-finite start potentials to a dual-feasible square instance — so in
-both cases a stale warm start can cost iterations but never the
-optimum.
+The warm wrapper's approximate tier relies on the kernel-level
+guarantee pinned here: the auction reaches ε-complementary slackness
+from *any* finite start prices, so a stale warm start can cost bidding
+rounds but never the optimum.
 """
 
 from __future__ import annotations
@@ -15,91 +13,11 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.matching.auction import auction_assignment
-from repro.matching.hungarian import hungarian, max_weight_assignment
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
-
-
-class TestHungarianWarmStart:
-    @pytest.mark.parametrize("shape", [(6, 6), (4, 9), (1, 5), (8, 11)])
-    def test_arbitrary_potentials_stay_exact(self, rng, shape):
-        for _ in range(10):
-            cost = rng.normal(size=shape)
-            _, cold_total = hungarian(cost)
-            warm = (
-                rng.normal(size=shape[0]) * 3,
-                rng.normal(size=shape[1]) * 3,
-            )
-            _, warm_total = hungarian(cost, start_potentials=warm)
-            assert warm_total == pytest.approx(cold_total, abs=1e-9)
-
-    def test_zero_potentials_match_cold_assignment(self, rng):
-        cost = rng.normal(size=(5, 8))
-        zeros = (np.zeros(5), np.zeros(8))
-        cold_assignment, cold_total = hungarian(cost)
-        warm_assignment, warm_total = hungarian(
-            cost, start_potentials=zeros
-        )
-        assert warm_total == pytest.approx(cold_total, abs=1e-9)
-        assert sorted(warm_assignment) == sorted(cold_assignment)
-        assert len(set(warm_assignment)) == len(warm_assignment)
-
-    def test_returned_state_round_trips(self, rng):
-        cost = rng.normal(size=(6, 10))
-        _, cold_total, state = hungarian(cost, return_state=True)
-        assert state[0].shape == (6,)
-        assert state[1].shape == (10,)
-        _, again_total = hungarian(cost, start_potentials=state)
-        assert again_total == pytest.approx(cold_total, abs=1e-9)
-
-    def test_bad_start_potentials_rejected(self):
-        cost = np.ones((3, 4))
-        with pytest.raises(ValidationError):
-            hungarian(
-                cost, start_potentials=(np.zeros(2), np.zeros(4))
-            )
-        with pytest.raises(ValidationError):
-            hungarian(
-                cost,
-                start_potentials=(
-                    np.zeros(3),
-                    np.array([0.0, np.inf, 0.0, 0.0]),
-                ),
-            )
-
-
-class TestMaxWeightWarmStart:
-    def test_warm_matches_cold_total(self, rng):
-        for _ in range(10):
-            weights = rng.normal(size=(7, 5))
-            _, cold_total = max_weight_assignment(weights)
-            warm = (rng.normal(size=7) * 3, rng.normal(size=5) * 3)
-            _, warm_total = max_weight_assignment(
-                weights, start_potentials=warm
-            )
-            assert warm_total == pytest.approx(cold_total, abs=1e-9)
-
-    def test_state_round_trip_shapes(self, rng):
-        weights = rng.normal(size=(4, 6))
-        _, total, state = max_weight_assignment(
-            weights, return_state=True
-        )
-        assert state[0].shape == (4,)
-        assert state[1].shape == (6,)
-        _, again = max_weight_assignment(weights, start_potentials=state)
-        assert again == pytest.approx(total, abs=1e-9)
-
-    def test_negative_rows_stay_unassigned_under_warm_start(self, rng):
-        weights = -np.ones((3, 3))
-        warm = (rng.normal(size=3), rng.normal(size=3))
-        assignment, total = max_weight_assignment(
-            weights, start_potentials=warm
-        )
-        assert assignment == [-1, -1, -1]
-        assert total == 0.0
 
 
 class TestAuctionWarmStart:

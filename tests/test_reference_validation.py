@@ -5,6 +5,8 @@ dependencies used here as independent oracles for the from-scratch
 substrate:
 
 * Hungarian vs ``scipy.optimize.linear_sum_assignment``;
+* the ε-scaling auction vs ``linear_sum_assignment(maximize=True)``,
+  within the auction's ε-complementary-slackness bound;
 * min-cost flow vs ``networkx.max_flow_min_cost``;
 * Hopcroft–Karp vs ``networkx.algorithms.bipartite.maximum_matching``.
 """
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 scipy_optimize = pytest.importorskip("scipy.optimize")
 networkx = pytest.importorskip("networkx")
 
+from repro.matching.auction import auction_assignment  # noqa: E402
 from repro.matching.graph import FlowNetwork  # noqa: E402
 from repro.matching.hopcroft_karp import hopcroft_karp  # noqa: E402
 from repro.matching.hungarian import hungarian  # noqa: E402
@@ -42,6 +45,30 @@ class TestHungarianVsScipy:
         _a, ours = hungarian(cost)
         rows, cols = scipy_optimize.linear_sum_assignment(cost)
         assert ours == pytest.approx(float(cost[rows, cols].sum()))
+
+
+class TestAuctionVsScipy:
+    """ε-complementary slackness bounds the auction's shortfall by
+    ``n·ε_final``, and ``ε_final = span·1e-9/n + 1e-12`` for a value
+    span ``max|w|`` (see ``repro.matching.auction``); the bound gets
+    1e-9 of slack for float summation."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 100_000), st.sampled_from(["gauss-seidel", "jacobi"]))
+    def test_within_epsilon_of_optimum(self, seed, mode):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(n, 10))
+        weights = rng.uniform(-10, 10, (n, m))
+        assignment, ours = auction_assignment(weights, mode=mode)
+        assert sorted(set(assignment)) == sorted(assignment)
+        rows, cols = scipy_optimize.linear_sum_assignment(
+            weights, maximize=True
+        )
+        optimum = float(weights[rows, cols].sum())
+        span = float(np.abs(weights).max())
+        bound = n * (span * 1e-9 / n + 1e-12) + 1e-9
+        assert optimum - bound <= ours <= optimum + 1e-9
 
 
 class TestMinCostFlowVsNetworkx:

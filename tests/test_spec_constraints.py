@@ -290,10 +290,9 @@ class TestC210ShardingBaseSupported:
 
         assert SHARDABLE_SOLVERS == sharded.SUPPORTED_BASES
         assert set(WARMABLE_SOLVERS) <= set(warm.SUPPORTED_BASES)
-        # The two deliberate exclusions: hungarian is internal to the
-        # warm wrapper, sharded is composed by the spec compiler.
+        # The one deliberate exclusion: sharded is composed by the spec
+        # compiler.
         assert set(warm.SUPPORTED_BASES) - set(WARMABLE_SOLVERS) == {
-            "hungarian",
             "sharded",
         }
 
