@@ -5,7 +5,7 @@ the shared rules of :mod:`repro.utils.validation`, so each bad input
 raises one :class:`ValidationError` text whichever kernel receives it.
 A benefit block is refused where it is built, so every registered
 solver fails the same way on a non-finite benefit.  The registry-driven
-cases below also pin two invariants of the objective that every solver
+cases below also pin invariants of the objective that every solver
 must keep.
 """
 
@@ -22,6 +22,7 @@ from repro.core.problem import MBAProblem
 from repro.core.solvers import get_solver, list_solvers
 from repro.datagen.synthetic import SyntheticConfig, generate_market
 from repro.errors import ValidationError
+from repro.market.market import LaborMarket
 from repro.matching import (
     auction_assignment,
     b_matching_reference,
@@ -162,6 +163,49 @@ def test_doubling_both_sides_doubles_the_objective(solver_name):
     once = get_solver(solver_name).solve(plain, seed=3).combined_total()
     twice = get_solver(solver_name).solve(doubled, seed=3).combined_total()
     assert twice == pytest.approx(2.0 * once, rel=1e-9)
+
+
+#: Solvers whose output depends on entity order by design, each with
+#: the reason.
+ORDER_DEPENDENT = {
+    "online-batch": "workers arrive in a seeded order over their indices",
+    "online-greedy": "workers arrive in a seeded order over their indices",
+    "online-two-phase": "workers arrive in a seeded order over their indices",
+    "random": "draws its edges from the seeded stream in index order",
+    "round-robin": "tasks take turns in index order",
+}
+
+
+@pytest.mark.parametrize(
+    "solver_name",
+    [name for name in list_solvers() if name not in ORDER_DEPENDENT],
+)
+def test_permuting_entities_keeps_the_objective(solver_name):
+    market = _market()
+    rng = np.random.default_rng(11)
+    worker_order = rng.permutation(market.n_workers)
+    task_order = rng.permutation(market.n_tasks)
+    permuted = LaborMarket(
+        [market.workers[i] for i in worker_order],
+        [market.tasks[j] for j in task_order],
+        market.taxonomy,
+        market.requesters,
+    )
+    combiner = LinearCombiner(0.5)
+    solver = get_solver(solver_name)
+    plain = solver.solve(MBAProblem(market, combiner=combiner), seed=3)
+    moved = solver.solve(MBAProblem(permuted, combiner=combiner), seed=3)
+    assert moved.combined_total() == pytest.approx(
+        plain.combined_total(), rel=1e-9
+    )
+    if solver_name == "flow":
+        # Edge (i, j) of the market is edge (worker_at[i], task_at[j])
+        # of the permuted one.
+        worker_at = np.argsort(worker_order)
+        task_at = np.argsort(task_order)
+        assert sorted(moved.edges) == sorted(
+            (int(worker_at[i]), int(task_at[j])) for i, j in plain.edges
+        )
 
 
 def test_flow_at_lambda_one_is_quality_only():

@@ -1,19 +1,29 @@
 """Tests for maximum-weight b-matching: brute force, the explicit-network
-reference, the scipy LP oracle, and input validation."""
+reference, the scipy LP oracle, input validation, and the size rule
+that picks the kernel's array or scalar search."""
 
 import itertools
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.core.problem import MBAProblem
+from repro.core.solvers import get_solver
+from repro.datagen.synthetic import SyntheticConfig, generate_market
 from repro.errors import ValidationError
+from repro.matching import b_matching
 from repro.matching.auction import auction_assignment
 from repro.matching.b_matching import max_weight_b_matching
 from repro.matching.hungarian import max_weight_assignment
 from repro.matching.reference import b_matching_reference
+from repro.spec import compile_stream
+from repro.stream import StreamDispatcher
 
 
 def _brute_force_b_matching(weights, row_caps, col_caps):
@@ -162,6 +172,34 @@ def b_matching_instances(draw):
     return weights, row_caps, col_caps
 
 
+@st.composite
+def block_instances(draw):
+    """Blocks on both sides of the size rule's constant (up to 24 x 24
+    cells), ``n > m`` included.  Row capacities reach past ``m``, both
+    sides draw zero capacities, and integer weights force ties."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        weights = rng.integers(-3, 7, (n, m)).astype(float)
+    else:
+        weights = rng.uniform(-0.5, 1.0, (n, m))
+    row_caps = rng.integers(0, m + 3, n)
+    col_caps = rng.integers(0, 4, m)
+    return weights, row_caps, col_caps
+
+
+#: The kernel's two private searches, each forced by moving the size
+#: rule's constant past every block.
+SEARCHES = {"array": -1, "scalar": 10**9}
+
+
+@contextmanager
+def _search(name):
+    with mock.patch.object(b_matching, "_SMALL_BLOCK", SEARCHES[name]):
+        yield
+
+
 def _lp_optimum(weights, row_caps, col_caps):
     """The b-matching LP over candidate edges; integral by total
     unimodularity of the bipartite incidence matrix.
@@ -219,26 +257,50 @@ def _scale(weights):
     return max(1.0, float(np.abs(weights).sum()))
 
 
+def _solve_both(weights, row_caps, col_caps):
+    """The kernel's total from each search, checked for feasibility."""
+    totals = []
+    for name in SEARCHES:
+        with _search(name):
+            edges, total = max_weight_b_matching(weights, row_caps, col_caps)
+        _assert_feasible(edges, total, weights, row_caps, col_caps)
+        totals.append(total)
+    return totals
+
+
 class TestAgainstOracles:
+    """Both searches against the explicit-network reference and the LP
+    optimum, on the same instances."""
+
     @settings(max_examples=200, deadline=None)
     @given(b_matching_instances())
     def test_matches_reference(self, instance):
         weights, row_caps, col_caps = instance
-        edges, total = max_weight_b_matching(weights, row_caps, col_caps)
         _ref_edges, ref_total = b_matching_reference(
             weights, row_caps, col_caps
         )
-        _assert_feasible(edges, total, weights, row_caps, col_caps)
-        assert abs(total - ref_total) <= 1e-9 * _scale(weights)
+        for total in _solve_both(weights, row_caps, col_caps):
+            assert abs(total - ref_total) <= 1e-9 * _scale(weights)
 
     @settings(max_examples=150, deadline=None)
     @given(b_matching_instances())
     def test_matches_lp_optimum(self, instance):
         weights, row_caps, col_caps = instance
         optimum = _lp_optimum(weights, row_caps, col_caps)
-        edges, total = max_weight_b_matching(weights, row_caps, col_caps)
-        _assert_feasible(edges, total, weights, row_caps, col_caps)
-        assert abs(total - optimum) <= 1e-9 * _scale(weights)
+        for total in _solve_both(weights, row_caps, col_caps):
+            assert abs(total - optimum) <= 1e-9 * _scale(weights)
+
+    @settings(max_examples=80, deadline=None)
+    @given(block_instances())
+    def test_blocks_match_reference_and_lp(self, instance):
+        weights, row_caps, col_caps = instance
+        _ref_edges, ref_total = b_matching_reference(
+            weights, row_caps, col_caps
+        )
+        optimum = _lp_optimum(weights, row_caps, col_caps)
+        for total in _solve_both(weights, row_caps, col_caps):
+            assert abs(total - ref_total) <= 1e-9 * _scale(weights)
+            assert abs(total - optimum) <= 1e-9 * _scale(weights)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -250,14 +312,77 @@ class TestAgainstOracles:
         weights = rng.uniform(-0.2, 1.0, (n, m))
         row_caps = rng.integers(0, 5, n)
         col_caps = rng.integers(0, 5, m)
-        edges, total = max_weight_b_matching(weights, row_caps, col_caps)
-        _assert_feasible(edges, total, weights, row_caps, col_caps)
         _ref_edges, ref_total = b_matching_reference(
             weights, row_caps, col_caps
         )
-        assert abs(total - ref_total) <= 1e-9 * _scale(weights)
         optimum = _lp_optimum(weights, row_caps, col_caps)
-        assert abs(total - optimum) <= 1e-9 * _scale(weights)
+        for total in _solve_both(weights, row_caps, col_caps):
+            assert abs(total - ref_total) <= 1e-9 * _scale(weights)
+            assert abs(total - optimum) <= 1e-9 * _scale(weights)
+
+
+def _counters(search, weights, row_caps, col_caps):
+    with obs.tracing() as tracer, _search(search):
+        max_weight_b_matching(weights, row_caps, col_caps)
+    return {
+        name.removeprefix("b_matching."): value
+        for name, value in tracer.metrics.counters.items()
+        if name.startswith("b_matching.")
+    }
+
+
+class TestSearchForms:
+    """The size rule: which search runs, and that both report the same
+    work."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(instance=block_instances())
+    def test_both_searches_report_the_same_work(self, instance):
+        array = _counters("array", *instance)
+        scalar = _counters("scalar", *instance)
+        for name in ("augmentations", "candidate_edges", "matched_edges"):
+            assert array[name] == scalar[name], name
+        for counters in (array, scalar):
+            assert counters["search_rounds"] >= counters["augmentations"]
+
+    def test_micro_batch_windows_take_the_scalar_search(self):
+        compiled = compile_stream(
+            {
+                "schema": "repro-spec/1",
+                "market": {
+                    "workload": "amt-like", "workers": 600, "tasks": 600,
+                    "seed": 0,
+                },
+                "scenario": {"lam": 0.5},
+                "stream": {
+                    "policy": "micro-batch", "task_rate": 2.4,
+                    "worker_rate": 2.4, "deadline": 1.5,
+                    "session_length": 1.0, "batch_window": 1.0,
+                },
+            }
+        )
+        dispatcher = StreamDispatcher(
+            compiled.market, compiled.config, combiner=compiled.combiner
+        )
+        refuse = AssertionError("a window took the array search")
+        with obs.tracing() as tracer, mock.patch.object(
+            b_matching, "_augment", side_effect=refuse
+        ):
+            dispatcher.run(seed=0)
+        counters = tracer.metrics.counters
+        assert counters["stream.windows"] > 100
+        assert counters["b_matching.augmentations"] > 0
+
+    def test_large_flow_solve_takes_the_array_search(self):
+        market = generate_market(
+            SyntheticConfig(n_workers=200, n_tasks=100), seed=0
+        )
+        refuse = AssertionError("a 200x100 solve took the scalar search")
+        with mock.patch.object(
+            b_matching, "_augment_small", side_effect=refuse
+        ):
+            assignment = get_solver("flow").solve(MBAProblem(market), seed=0)
+        assert len(assignment.edges) > 0
 
 
 _KERNELS = {
