@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.assignment import Assignment
 from repro.core.problem import MBAProblem
 from repro.core.solvers.base import Solver, register_solver
+from repro.core.solvers.online import _active_arrival_order
 from repro.errors import ValidationError
 from repro.market.arrivals import ArrivalProcess, PoissonArrivals
 from repro.matching.b_matching import max_weight_b_matching
@@ -55,11 +56,7 @@ class OnlineBatchSolver(Solver):
 
     def solve(self, problem: MBAProblem, seed: SeedLike = None) -> Assignment:
         rng = as_rng(seed)
-        order = [
-            i
-            for i in self.arrivals.order(problem.n_workers, rng)
-            if problem.is_worker_active(i)
-        ]
+        order = _active_arrival_order(problem, self.arrivals, rng)
         quota = problem.task_capacities().astype(int).copy()
         capacities = problem.worker_capacities()
         combined = problem.benefits.combined

@@ -4,14 +4,16 @@ The online setting models a live platform: each worker shows up, must
 be given tasks (up to their capacity) immediately, and the decision is
 irrevocable.  Task replication quotas deplete as the stream proceeds.
 
-* :class:`OnlineGreedySolver` — each arrival takes its highest
-  combined-benefit tasks among those with remaining quota.
 * :class:`OnlineTwoPhaseSolver` — sample-and-price (see
   :func:`repro.matching.online.two_phase_matching`): the first
-  fraction of arrivals is matched greedily; the optimal matching of
-  that prefix sets per-task price thresholds that later arrivals must
-  beat.  Under random arrival order this filters low-value grabs and
-  closes much of the gap to the offline optimum (experiment F9).
+  fraction of arrivals is matched greedily; the optimal b-matching of
+  that prefix to the task quotas (:func:`~repro.matching.online.match_prices`)
+  sets per-task price thresholds that later arrivals must beat.  Under
+  random arrival order this filters low-value grabs and closes much of
+  the gap to the offline optimum (experiment F9).
+* :class:`OnlineGreedySolver` — each arrival takes its highest
+  combined-benefit tasks among those with remaining quota: the same
+  algorithm with an empty sample, so every price is 0.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.core.assignment import Assignment
 from repro.core.problem import MBAProblem
 from repro.core.solvers.base import Solver, register_solver
 from repro.market.arrivals import ArrivalProcess, PoissonArrivals
-from repro.matching.hungarian import max_weight_assignment
+from repro.matching.online import match_prices
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_fraction
 
@@ -61,36 +63,16 @@ def _take_best_tasks(
     return taken
 
 
-@register_solver("online-greedy")
-class OnlineGreedySolver(Solver):
-    """Greedy immediate assignment per arriving worker."""
-
-    def __init__(self, arrivals: ArrivalProcess | None = None) -> None:
-        self.arrivals = arrivals if arrivals is not None else PoissonArrivals()
-
-    def solve(self, problem: MBAProblem, seed: SeedLike = None) -> Assignment:
-        capacities = problem.worker_capacities()
-        quota = problem.task_capacities()
-        no_threshold = np.zeros(problem.n_tasks)
-        edges: list[tuple[int, int]] = []
-        for worker_index in _active_arrival_order(problem, self.arrivals, seed):
-            edges.extend(
-                _take_best_tasks(
-                    problem, worker_index, capacities, quota, no_threshold
-                )
-            )
-        return self._finish(problem, edges)
-
-
 @register_solver("online-two-phase")
 class OnlineTwoPhaseSolver(Solver):
     """Sample-and-price online assignment.
 
     Phase 1 (first ``sample_fraction`` of active arrivals) is assigned
     greedily — those workers still produce value.  The optimal
-    assignment of the observed workers to the *full original* quota is
-    then computed; the benefit each task earns there becomes its price,
-    and phase-2 arrivals only take a task when they beat its price.
+    b-matching of the observed workers, at their capacities, to the
+    *full original* quota is then computed; the largest benefit each
+    task earns there becomes its price, and phase-2 arrivals only take
+    a task when they beat its price.
     """
 
     def __init__(
@@ -132,31 +114,19 @@ class OnlineTwoPhaseSolver(Solver):
     def _price_tasks(
         self, problem: MBAProblem, sample: list[int], capacities: np.ndarray
     ) -> np.ndarray:
-        """Per-task price = its earnings in the sample's optimal matching."""
-        prices = np.zeros(problem.n_tasks)
-        if not sample:
-            return prices
-        # Expand workers by capacity (rows) and tasks by replication
-        # (columns); solve max-weight assignment on the sample.
-        rows: list[int] = []
-        for i in sample:
-            rows.extend([i] * int(capacities[i]))
-        cols: list[int] = []
-        replications = problem.task_capacities()
-        for j in range(problem.n_tasks):
-            cols.extend([j] * int(replications[j]))
-        if not rows or not cols:
-            return prices
-        weights = problem.benefits.combined[np.ix_(rows, cols)]
-        if len(rows) > len(cols):
-            # hungarian needs n_rows <= n_cols; keep the strongest rows.
-            strength = weights.max(axis=1)
-            keep = np.argsort(strength)[-len(cols):]
-            rows = [rows[r] for r in keep]
-            weights = weights[keep]
-        assignment, _total = max_weight_assignment(np.asarray(weights))
-        for row_pos, col_pos in enumerate(assignment):
-            if col_pos >= 0:
-                j = cols[col_pos]
-                prices[j] = max(prices[j], float(weights[row_pos, col_pos]))
-        return prices
+        """Per-task price: the largest benefit the task earns in the
+        optimal b-matching of the sample to the full quota."""
+        return match_prices(
+            problem.benefits.combined[sample],
+            capacities[sample],
+            problem.task_capacities(),
+        )
+
+
+@register_solver("online-greedy")
+class OnlineGreedySolver(OnlineTwoPhaseSolver):
+    """Greedy immediate assignment per arriving worker: sample-and-price
+    with an empty sample."""
+
+    def __init__(self, arrivals: ArrivalProcess | None = None) -> None:
+        super().__init__(arrivals, sample_fraction=0.0)

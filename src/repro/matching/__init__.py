@@ -18,8 +18,9 @@ solvers are built on:
   array-native successive-shortest-path kernel (the workhorse behind
   the flow-optimal solver), validated against the explicit-network
   reduction to :mod:`mincost_flow` kept in :mod:`reference`;
-* :mod:`online` — online bipartite matching: greedy, Ranking, and a
-  two-phase sample-then-match algorithm.
+* :mod:`online` — online bipartite matching: two-phase
+  sample-and-price, priced by the b-matching kernel (greedy is its
+  empty-sample case), and Ranking.
 """
 
 from repro.matching.auction import auction_assignment

@@ -100,21 +100,3 @@ def hungarian(cost: np.ndarray) -> tuple[list[int], float]:
     total = float(cost[np.arange(n), assignment].sum())
     return assignment.tolist(), total
 
-
-def max_weight_assignment(weights: np.ndarray) -> tuple[list[int], float]:
-    """Maximum-weight assignment where leaving a row unmatched is free.
-
-    Pads the (negated) weight matrix with zero columns so rows whose
-    best edge is negative stay effectively unassigned (signalled by
-    ``-1`` in the returned list).
-    """
-    weights = check_weights(weights)
-    n, m = weights.shape
-    if n == 0 or m == 0:
-        return [-1] * n, 0.0
-    # Negate for minimization; add n dummy zero-cost columns that mean
-    # "unassigned" so the perfect-assignment requirement is harmless.
-    padded = np.zeros((n, m + n))
-    padded[:, :m] = -weights
-    assignment, neg_total = hungarian(padded)
-    return [j if j < m else -1 for j in assignment], -neg_total

@@ -2,18 +2,19 @@
 
 Left vertices (workers) arrive one at a time; each must be matched
 immediately and irrevocably to a still-available right vertex (task
-slot) or dropped.  Three algorithms:
+slot) or dropped.  Two algorithms:
 
-* :func:`online_greedy_matching` — match each arrival to its best
-  available edge.  1/2-competitive for weighted matching under random
-  order.
-* :func:`ranking_matching` — the Karp–Vazirani–Vazirani RANKING
-  algorithm for *unweighted* matching, (1−1/e)-competitive against
-  adversarial order.  Included as the classical baseline.
 * :func:`two_phase_matching` — observe the first ``sample_fraction``
   of arrivals greedily, then use the optimal matching on the observed
   prefix as a price guide for the remainder (the sample-and-price
   design used by the TGOA line of online task-assignment algorithms).
+  The prices come from :func:`match_prices`, one call of the exact
+  b-matching kernel.  :func:`online_greedy_matching` — each arrival
+  takes its best available edge, 1/2-competitive for weighted
+  matching under random order — is its empty-sample case.
+* :func:`ranking_matching` — the Karp–Vazirani–Vazirani RANKING
+  algorithm for *unweighted* matching, (1−1/e)-competitive against
+  adversarial order.  Included as the classical baseline.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.matching.hungarian import max_weight_assignment
+from repro.matching.b_matching import max_weight_b_matching
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_capacities, check_fraction
 
@@ -47,6 +48,24 @@ def _remaining(right_capacities: Sequence[int] | None, n_right: int) -> list[int
     ).tolist()
 
 
+def match_prices(
+    weights: np.ndarray, row_caps: Sequence[int], col_caps: Sequence[int]
+) -> np.ndarray:
+    """Per-column prices from the optimal b-matching of ``weights``.
+
+    A column's price is the largest weight it earns in
+    :func:`~repro.matching.b_matching.max_weight_b_matching` under the
+    given degree bounds, or 0 when it is left unmatched.  The kernel
+    takes each (row, column) edge at most once, so a row of capacity
+    ``c`` prices up to ``c`` distinct columns.
+    """
+    edges, _total = max_weight_b_matching(weights, row_caps, col_caps)
+    prices = np.zeros(weights.shape[1])
+    for row, col in edges:
+        prices[col] = max(prices[col], weights[row, col])
+    return prices
+
+
 def online_greedy_matching(
     order: Sequence[int],
     n_right: int,
@@ -57,25 +76,12 @@ def online_greedy_matching(
 
     Each arriving left vertex takes its maximum-positive-weight right
     vertex among those with remaining capacity, or stays unmatched if
-    every candidate edge is non-positive/absent.
+    every candidate edge is non-positive/absent.  This is
+    :func:`two_phase_matching` with an empty sample: every price is 0.
     """
-    _check_order(order, len(order))
-    remaining = _remaining(right_capacities, n_right)
-    matches: list[tuple[int, int]] = []
-    for left in order:
-        best_right = -1
-        best_weight = 0.0
-        for right in range(n_right):
-            if remaining[right] <= 0:
-                continue
-            w = weight_of(left, right)
-            if w is not None and w > best_weight:
-                best_weight = w
-                best_right = right
-        if best_right >= 0:
-            remaining[best_right] -= 1
-            matches.append((left, best_right))
-    return matches
+    return two_phase_matching(
+        order, n_right, weight_of, right_capacities, sample_fraction=0.0
+    )
 
 
 def ranking_matching(
@@ -116,16 +122,16 @@ def two_phase_matching(
     — these arrivals still produce value, unlike the classical
     secretary algorithm that discards its sample.
 
-    Phase 2: compute the optimal assignment of the *observed* left
-    vertices to the remaining right capacity; the weight each right
-    vertex earns there becomes its price.  Later arrivals only take a
+    Phase 2: compute the optimal b-matching of the *observed* left
+    vertices (one edge each) to the remaining right capacity; the
+    largest weight each right vertex earns there becomes its price
+    (:func:`match_prices`).  Later arrivals only take a
     right vertex if they beat its price, which filters out
     low-value grabs that would block high-value future edges.
     """
     _check_order(order, len(order))
     check_fraction("sample_fraction", sample_fraction)
-    n_left = len(order)
-    cutoff = int(round(sample_fraction * n_left))
+    cutoff = int(round(sample_fraction * len(order)))
     sample, rest = list(order[:cutoff]), list(order[cutoff:])
 
     remaining = _remaining(right_capacities, n_right)
@@ -134,43 +140,27 @@ def two_phase_matching(
     def greedy_step(left: int, threshold: Sequence[float]) -> None:
         best_right, best_weight = -1, 0.0
         for right in range(n_right):
-            if remaining[right] <= 0:
-                continue
-            w = weight_of(left, right)
-            if w is None:
-                continue
-            if w > threshold[right] and w > best_weight:
-                best_weight = w
-                best_right = right
+            w = weight_of(left, right) if remaining[right] > 0 else None
+            if w is not None and w > threshold[right] and w > best_weight:
+                best_right, best_weight = right, w
         if best_right >= 0:
             remaining[best_right] -= 1
             matches.append((left, best_right))
 
-    zero_threshold = [0.0] * n_right
-    for left in sample:
-        greedy_step(left, zero_threshold)
-
-    # Price each right vertex by its earnings in the optimal assignment
-    # of the sampled left vertices (capacity-expanded columns).  Only
-    # vertices with remaining capacity get slots: an exhausted vertex
-    # can never be taken in phase 2, and a phantom slot for it would
-    # absorb sample rows that should price the live vertices.
     prices = [0.0] * n_right
-    slots: list[int] = []
-    for right in range(n_right):
-        if remaining[right] > 0:
-            slots.extend([right] * remaining[right])
-    if sample and slots:
-        weight_rows = np.zeros((len(sample), len(slots)))
-        for si, left in enumerate(sample):
-            for ci, right in enumerate(slots):
-                w = weight_of(left, right)
-                weight_rows[si, ci] = w if w is not None else 0.0
-        assignment, _total = max_weight_assignment(weight_rows)
-        for si, ci in enumerate(assignment):
-            if ci >= 0:
-                right = slots[ci]
-                prices[right] = max(prices[right], float(weight_rows[si, ci]))
+    for left in sample:
+        greedy_step(left, prices)
+
+    # Price each right vertex by its earnings in the optimal b-matching
+    # of the sampled left vertices (one edge each) to the capacity the
+    # sample left: an exhausted vertex can never be taken in phase 2,
+    # so it must not absorb sample rows that should price the others.
+    weight_rows = np.array(
+        [[weight_of(left, right) or 0.0 for right in range(n_right)]
+         for left in sample],
+        dtype=float,
+    ).reshape(len(sample), n_right)
+    prices = match_prices(weight_rows, [1] * len(sample), remaining).tolist()
 
     for left in rest:
         greedy_step(left, prices)

@@ -584,9 +584,12 @@ def build_shard_suite(quick: bool = False, scale: float = 1.0) -> list[BenchCase
 
 
 def _stream_case(
-    policy: str, size: int, batch_window: float | None = None
+    policy: str, size: int, batch_window: float | None = None, label: str = ""
 ) -> BenchCase:
     """One streaming-dispatch storm: |W| = |T| = ``size``.
+
+    ``label`` tells apart cases of one policy and size that differ in
+    their dispatch settings; it is appended to the policy in the name.
 
     Market construction happens outside the timed region; the
     measured wall time is one full drain of the dispatch loop.  The
@@ -622,7 +625,7 @@ def _stream_case(
         return Measurement(wall, None, total, None)
 
     return BenchCase(
-        name=f"stream_{policy.replace('-', '_')}/n={size}",
+        name=f"stream_{policy.replace('-', '_')}{label}/n={size}",
         suite="stream",
         size=size,
         solver=f"stream:{policy}",
@@ -633,7 +636,8 @@ def _stream_case(
 def build_stream_suite(
     quick: bool = False, scale: float = 1.0
 ) -> list[BenchCase]:
-    """The streaming-dispatch suite: greedy storm + micro-batch."""
+    """The streaming-dispatch suite: greedy storm + two micro-batch
+    window lengths."""
     base = _STREAM_QUICK_SIZE if quick else _STREAM_FULL_SIZE
     size = max(100, int(round(base * scale)))
     # Micro-batch solves each window with ``flow``; a tenth of
@@ -643,6 +647,16 @@ def build_stream_suite(
     return [
         _stream_case("greedy", size),
         _stream_case("micro-batch", micro_size, batch_window=5.0),
+        # A window's block is the workers online and the tasks open at
+        # its flush, so its size follows the arrival rate.  At the rate
+        # floor (8) the blocks are ~8x8 (255 windows, the largest 210
+        # cells), all under the b-matching kernel's scalar-search rule,
+        # as in the ``stream_monitored`` workload; the full tier's case
+        # above runs at rate 40 (~39x58, the array search).  One size on
+        # both tiers.
+        _stream_case(
+            "micro-batch", _STREAM_QUICK_SIZE, batch_window=1.0, label="_w1"
+        ),
     ]
 
 

@@ -1,13 +1,17 @@
 """Tests specific to the online solvers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.benefit.matrices import BenefitMatrices
 from repro.benefit.mutual import LinearCombiner
 from repro.core.problem import MBAProblem
 from repro.core.solvers import get_solver
 from repro.datagen.synthetic import SyntheticConfig, generate_market
-from repro.market.arrivals import TraceArrivals
+from repro.datagen.traces import workload_registry
+from repro.market.arrivals import BatchArrivals, PoissonArrivals, TraceArrivals
 
 
 def _problem(seed=0, **kwargs):
@@ -15,6 +19,30 @@ def _problem(seed=0, **kwargs):
     defaults.update(kwargs)
     market = generate_market(SyntheticConfig(**defaults), seed=seed)
     return MBAProblem(market, combiner=LinearCombiner(0.5))
+
+
+def _block(weights, worker_caps, task_caps):
+    """A problem whose combined benefit is exactly ``weights``."""
+    weights = np.asarray(weights, dtype=float)
+    benefits = BenefitMatrices(weights, weights, weights, LinearCombiner(0.5))
+    return MBAProblem.from_benefits(benefits, worker_caps, task_caps)
+
+
+def _generated_problems():
+    for name, make in sorted(workload_registry().items()):
+        for market_seed in range(3):
+            market = make(n_workers=40, n_tasks=25, seed=market_seed)
+            yield name, market_seed, MBAProblem(
+                market, combiner=LinearCombiner(0.5)
+            )
+
+
+#: Arrival processes the online solvers are compared under.
+ARRIVALS = {
+    "poisson": lambda n: PoissonArrivals(),
+    "trace": lambda n: TraceArrivals(list(range(n - 1, -1, -1))),
+    "batch": lambda n: BatchArrivals(7),
+}
 
 
 class TestOnlineGreedy:
@@ -71,12 +99,22 @@ class TestOnlineGreedy:
 
 class TestOnlineTwoPhase:
     def test_sample_fraction_zero_equals_greedy(self):
-        problem = _problem(seed=3)
-        greedy = get_solver("online-greedy").solve(problem, seed=7)
-        two_phase = get_solver(
-            "online-two-phase", sample_fraction=0.0
-        ).solve(problem, seed=7)
-        assert greedy.edges == two_phase.edges
+        """``online-greedy`` is sample-and-price with an empty sample,
+        over seeds and arrival processes."""
+        problems = [_problem(seed=3)]
+        problems += [problem for _name, _seed, problem in _generated_problems()]
+        for problem in problems:
+            for arrivals in ARRIVALS.values():
+                process = arrivals(problem.n_workers)
+                greedy = get_solver("online-greedy", arrivals=process)
+                two_phase = get_solver(
+                    "online-two-phase", arrivals=process, sample_fraction=0.0
+                )
+                for seed in (0, 7):
+                    assert (
+                        greedy.solve(problem, seed=seed).edges
+                        == two_phase.solve(problem, seed=seed).edges
+                    )
 
     def test_never_beats_offline(self):
         for seed in range(5):
@@ -125,3 +163,82 @@ class TestBlockProblems:
         on_block = get_solver(name).solve(block, seed=2)
         assert on_block.edges == on_market.edges
         assert on_block.edges
+
+
+class TestPricing:
+    """Regression: a task's price is the largest benefit it earns in the
+    exact b-matching of the sample to the task quotas.
+
+    Prices used to come from a maximum-weight assignment on a matrix
+    with each sample worker copied once per unit of capacity and each
+    task once per replication.  A worker could then take the same task
+    twice, and when the copies outnumbered the task slots the weakest
+    rows were dropped before solving."""
+
+    @staticmethod
+    def _prices(problem, sample):
+        solver = get_solver("online-two-phase")
+        return solver._price_tasks(
+            problem, sample, problem.worker_capacities()
+        ).tolist()
+
+    def test_a_worker_prices_each_task_once(self):
+        # The expanded matrix gave [10, 0]: both copies of worker 0
+        # took a copy of task 0.
+        problem = _block([[10.0, 1.0]], [2], [2, 2])
+        assert self._prices(problem, [0]) == [10.0, 1.0]
+
+    def test_no_sample_worker_is_dropped(self):
+        # Three rows against two slots: dropping the weakest row by its
+        # best edge (worker 1, 4.9) gave [5.1, 0].
+        problem = _block([[5.0, 0.0], [4.9, 4.0], [5.1, 0.0]], [1, 1, 1], [1, 1])
+        assert self._prices(problem, [0, 1, 2]) == [5.1, 4.0]
+
+    def test_phase_two_refuses_an_arrival_below_the_price(self):
+        # Worker 0 is the sample and takes both tasks; task 1 is priced
+        # at 1, so worker 1's 0.9 on it is refused (it was accepted at
+        # the old price 0).
+        problem = _block([[10.0, 1.0], [0.5, 0.9]], [2, 1], [2, 2])
+        solver = get_solver(
+            "online-two-phase", arrivals=TraceArrivals([0, 1]),
+            sample_fraction=0.5,
+        )
+        assert solver.solve(problem, seed=0).edges == ((0, 0), (0, 1))
+
+
+class TestPinnedEdges:
+    """``online-greedy`` and ``online-batch`` edges over generated
+    problems, seeds and arrival processes."""
+
+    #: sha256 of every solve's edges over the generated problems, per
+    #: solver, recorded when ``online-greedy`` had its own loop and both
+    #: solvers inlined the arrival filter.
+    PINNED = {
+        "online-greedy": (
+            "c1a5ac4a2ebbbdd3c37ce2753e5040cfda8f30423431202923b457547b0c6f24"
+        ),
+        "online-batch": (
+            "105fc81c62be2fb65a4757409ed31404a69e69141d1eef4cb0f6228f2a56f7ff"
+        ),
+    }
+
+    @staticmethod
+    def _digest(solver_name):
+        digest = hashlib.sha256()
+        for name, market_seed, problem in _generated_problems():
+            for arrivals in sorted(ARRIVALS):
+                process = ARRIVALS[arrivals](problem.n_workers)
+                for seed in range(3):
+                    edges = (
+                        get_solver(solver_name, arrivals=process)
+                        .solve(problem, seed=seed)
+                        .edges
+                    )
+                    digest.update(
+                        repr((name, market_seed, arrivals, seed, edges)).encode()
+                    )
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("solver_name", sorted(PINNED))
+    def test_edges_match_the_pinned_digest(self, solver_name):
+        assert self._digest(solver_name) == self.PINNED[solver_name]

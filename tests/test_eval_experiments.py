@@ -129,3 +129,44 @@ class TestPinnedTables:
                 0.89,
             ],
         ]
+
+    def test_f9_online_table(self):
+        """Seed-0 F9 at scale 0.25, pinned exactly.  The greedy and
+        batch columns predate greedy running as sample-and-price with an
+        empty sample; the two-phase column is priced by the exact
+        b-matching of the sample."""
+        table = run_experiment("F9", scale=0.25, seed=0)
+        assert [list(row) for row in table.rows] == [
+            [
+                "amt-like",
+                0.955433317169648,
+                0.8930144479056434,
+                0.955433317169648,
+                0.9637952740469451,
+                0.9831659854943602,
+            ],
+            [
+                "synthetic-uniform",
+                0.8799458217690898,
+                0.8632948617866818,
+                0.8799458217690898,
+                0.8991770099470738,
+                0.9521758320543686,
+            ],
+            [
+                "synthetic-zipf",
+                0.8870862319909967,
+                0.870026244711583,
+                0.8870862319909967,
+                0.8993363614762093,
+                0.9587674521661718,
+            ],
+            [
+                "upwork-like",
+                0.6926709549453895,
+                0.6926709549453895,
+                0.6926709549453895,
+                0.8126272895624511,
+                0.9653843502795466,
+            ],
+        ]

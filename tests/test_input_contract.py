@@ -30,7 +30,6 @@ from repro.matching import (
     hungarian_reference,
     max_weight_b_matching,
 )
-from repro.matching.hungarian import max_weight_assignment
 from repro.matching.stable import deferred_acceptance
 
 ONES = [1, 1]
@@ -42,7 +41,6 @@ KERNELS = {
     "b_matching_reference": b_matching_reference,
     "hungarian": lambda w, rows, cols: hungarian(w),
     "hungarian_reference": lambda w, rows, cols: hungarian_reference(w),
-    "max_weight_assignment": lambda w, rows, cols: max_weight_assignment(w),
     "auction_assignment": lambda w, rows, cols: auction_assignment(w),
     "deferred_acceptance": lambda w, rows, cols: deferred_acceptance(
         w, w, rows, cols

@@ -20,8 +20,8 @@ from repro.errors import ValidationError
 from repro.matching import b_matching
 from repro.matching.auction import auction_assignment
 from repro.matching.b_matching import max_weight_b_matching
-from repro.matching.hungarian import max_weight_assignment
 from repro.matching.reference import b_matching_reference
+from repro.perf.harness import build_stream_suite
 from repro.spec import compile_stream
 from repro.stream import StreamDispatcher
 
@@ -57,8 +57,12 @@ class TestBMatching:
         edges, total = max_weight_b_matching(
             weights, np.ones(5, dtype=int), np.ones(5, dtype=int)
         )
-        _assignment, expected = max_weight_assignment(weights)
-        assert total == pytest.approx(expected)
+        # Oracle: scipy's assignment on the matrix padded with one zero
+        # column per row, where taking a pad means staying unmatched.
+        optimize = pytest.importorskip("scipy.optimize")
+        padded = np.hstack([weights, np.zeros((5, 5))])
+        rows, cols = optimize.linear_sum_assignment(padded, maximize=True)
+        assert total == pytest.approx(padded[rows, cols].sum())
 
     def test_respects_row_capacity(self):
         weights = np.array([[5.0, 4.0, 3.0]])
@@ -373,6 +377,21 @@ class TestSearchForms:
         assert counters["stream.windows"] > 100
         assert counters["b_matching.augmentations"] > 0
 
+    def test_small_window_bench_case_takes_the_scalar_search(self):
+        """``repro bench``'s 1.0-window micro-batch case, the same on both
+        tiers, times the scalar search on every window."""
+        quick, full = (
+            [case for case in build_stream_suite(quick=tier) if "_w1/" in case.name]
+            for tier in (True, False)
+        )
+        assert [case.name for case in quick] == [case.name for case in full]
+        refuse = AssertionError("a bench window took the array search")
+        with obs.tracing() as tracer, mock.patch.object(
+            b_matching, "_augment", side_effect=refuse
+        ):
+            quick[0].runner(1)
+        assert tracer.metrics.counters["b_matching.augmentations"] > 0
+
     def test_large_flow_solve_takes_the_array_search(self):
         market = generate_market(
             SyntheticConfig(n_workers=200, n_tasks=100), seed=0
@@ -389,7 +408,6 @@ _KERNELS = {
     "b_matching": lambda w: max_weight_b_matching(
         w, np.ones(w.shape[0], dtype=int), np.ones(w.shape[1], dtype=int)
     ),
-    "assignment": max_weight_assignment,
     "auction": auction_assignment,
 }
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import ValidationError
-from repro.matching.hungarian import hungarian, max_weight_assignment
+from repro.matching.b_matching import max_weight_b_matching
+from repro.matching.hungarian import hungarian
 
 
 def _brute_force_min(cost):
@@ -81,26 +82,40 @@ class TestHungarian:
 
 
 class TestMaxWeightAssignment:
+    """Maximum-weight assignment, where a row may stay unmatched, is
+    the unit-capacity case of ``max_weight_b_matching``.  Each case
+    also solves it by the Hungarian reduction: negate the weights and
+    pad one zero column per row, so a row taking a pad stays
+    unmatched."""
+
+    @staticmethod
+    def _solve(weights):
+        n, m = weights.shape
+        edges, total = max_weight_b_matching(
+            weights, np.ones(n, dtype=int), np.ones(m, dtype=int)
+        )
+        padded = np.zeros((n, m + n))
+        padded[:, :m] = -weights
+        _assignment, padded_total = hungarian(padded)
+        assert total == pytest.approx(-padded_total)
+        return edges, total
+
     def test_prefers_heavy_edges(self):
-        weights = np.array([[10.0, 1.0], [1.0, 10.0]])
-        assignment, total = max_weight_assignment(weights)
-        assert assignment == [0, 1]
+        edges, total = self._solve(np.array([[10.0, 1.0], [1.0, 10.0]]))
+        assert edges == [(0, 0), (1, 1)]
         assert total == pytest.approx(20.0)
 
     def test_negative_rows_stay_unassigned(self):
-        weights = np.array([[-1.0, -2.0], [5.0, 1.0]])
-        assignment, total = max_weight_assignment(weights)
-        assert assignment[0] == -1
-        assert assignment[1] == 0
+        edges, total = self._solve(np.array([[-1.0, -2.0], [5.0, 1.0]]))
+        assert edges == [(1, 0)]
         assert total == pytest.approx(5.0)
 
     def test_empty_matrix(self):
-        assignment, total = max_weight_assignment(np.zeros((0, 0)))
-        assert assignment == []
+        edges, total = self._solve(np.zeros((0, 0)))
+        assert edges == []
         assert total == 0.0
 
     def test_more_rows_than_columns(self):
-        weights = np.array([[3.0], [5.0], [1.0]])
-        assignment, total = max_weight_assignment(weights)
+        edges, total = self._solve(np.array([[3.0], [5.0], [1.0]]))
+        assert edges == [(1, 0)]
         assert total == pytest.approx(5.0)
-        assert assignment.count(-1) == 2

@@ -1,14 +1,18 @@
 """Tests for online bipartite matching."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import ValidationError
 from repro.matching.online import (
+    match_prices,
     online_greedy_matching,
     ranking_matching,
     two_phase_matching,
 )
+from repro.matching.reference import b_matching_reference
 
 
 def _weight_fn(matrix):
@@ -16,6 +20,43 @@ def _weight_fn(matrix):
         return float(matrix[left, right])
 
     return weight_of
+
+
+def _random_instances(count, seed):
+    """Online instances with absent and negative edges, zero and
+    missing right capacities, and sample fractions from 0 to 1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 12))
+        m = int(rng.integers(1, 8))
+        weights = rng.uniform(-1, 5, (n, m))
+        absent = rng.random((n, m)) < 0.2
+        caps = rng.integers(0, 4, m).tolist() if rng.random() < 0.7 else None
+        fraction = float(
+            rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 1.0, rng.random()])
+        )
+        order = rng.permutation(n).tolist()
+
+        def weight_of(left, right, weights=weights, absent=absent):
+            return None if absent[left, right] else float(weights[left, right])
+
+        yield order, m, weight_of, caps, fraction
+
+
+def _reference_greedy(order, n_right, weight_of, right_capacities):
+    """Each arrival takes its best positive edge with capacity left."""
+    remaining = list(right_capacities or [1] * n_right)
+    matches = []
+    for left in order:
+        best_right, best_weight = -1, 0.0
+        for right in range(n_right):
+            w = weight_of(left, right)
+            if remaining[right] > 0 and w is not None and w > best_weight:
+                best_right, best_weight = right, w
+        if best_right >= 0:
+            remaining[best_right] -= 1
+            matches.append((left, best_right))
+    return matches
 
 
 class TestOnlineGreedy:
@@ -123,6 +164,27 @@ class TestTwoPhase:
             [0, 1], 2, _weight_fn(matrix), sample_fraction=0.0
         )
         assert greedy == two
+        # Both equal a plain greedy loop on random instances.
+        for order, m, weight_of, caps, _fraction in _random_instances(300, 5):
+            expected = _reference_greedy(order, m, weight_of, caps)
+            assert online_greedy_matching(order, m, weight_of, caps) == expected
+            assert (
+                two_phase_matching(order, m, weight_of, caps, sample_fraction=0.0)
+                == expected
+            )
+
+    def test_matches_the_pinned_digest(self):
+        """Pricing by the b-matching kernel gives the matches that the
+        capacity-expanded assignment gave (recorded before the change):
+        with one edge per sample arrival the two problems are the same."""
+        digest = hashlib.sha256()
+        for order, m, weight_of, caps, fraction in _random_instances(400, 12):
+            digest.update(
+                repr(two_phase_matching(order, m, weight_of, caps, fraction)).encode()
+            )
+        assert digest.hexdigest() == (
+            "74a72a9a892dfaab6098011a04208689ab68df7258f382f9306802339b42c9da"
+        )
 
     def test_prices_filter_low_value_grabs(self):
         """After observing a strong sample, weak later edges are refused."""
@@ -197,3 +259,38 @@ class TestTwoPhasePhantomSlots:
             [0, 1, 2], 1, _weight_fn(matrix), sample_fraction=0.34
         )
         assert matches == [(0, 0)]
+
+
+class TestMatchPrices:
+    def test_prices_each_column_by_its_best_matched_edge(self):
+        weights = np.array([[10.0, 1.0], [0.0, 3.0]])
+        prices = match_prices(weights, [2, 1], [2, 2])
+        assert prices.tolist() == [10.0, 3.0]
+
+    def test_empty_sample_prices_nothing(self):
+        prices = match_prices(np.zeros((0, 3)), [], [1, 1, 1])
+        assert prices.tolist() == [0.0, 0.0, 0.0]
+
+    def test_bounds_from_the_reference_optimum(self):
+        """On blocks with ties, zero capacities and ``n > m``: a price
+        is 0 or a candidate weight of its column, and the prices bracket
+        the reference optimum: ``sum(p) <= total <= sum(cap * p)``, with
+        equality when every column capacity is 1."""
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            m = int(rng.integers(1, 7))
+            weights = rng.integers(-2, 5, (n, m)).astype(float)
+            row_caps = rng.integers(0, 4, n)
+            col_caps = rng.integers(0, 2 if rng.random() < 0.5 else 4, m)
+            prices = match_prices(weights, row_caps, col_caps)
+            _edges, total = b_matching_reference(weights, row_caps, col_caps)
+            candidate = (
+                (weights > 0) & (row_caps[:, None] > 0) & (col_caps[None, :] > 0)
+            )
+            for j, price in enumerate(prices):
+                assert price == 0.0 or price in weights[candidate[:, j], j]
+            assert prices.sum() <= total + 1e-9
+            assert total <= (col_caps * prices).sum() + 1e-9
+            if (col_caps <= 1).all():
+                assert prices.sum() == pytest.approx(total)
