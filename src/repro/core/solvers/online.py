@@ -24,7 +24,7 @@ from repro.core.assignment import Assignment
 from repro.core.problem import MBAProblem
 from repro.core.solvers.base import Solver, register_solver
 from repro.market.arrivals import ArrivalProcess, PoissonArrivals
-from repro.matching.online import match_prices
+from repro.matching.online import match_prices, take_best
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_fraction
 
@@ -45,22 +45,14 @@ def _take_best_tasks(
     thresholds: np.ndarray,
 ) -> list[tuple[int, int]]:
     """Give one arriving worker their best tasks above the thresholds,
-    up to their entry of ``capacities``."""
-    capacity = int(capacities[worker_index])
-    if capacity <= 0:
-        return []
-    scores = problem.benefits.combined[worker_index]
-    candidates = [
-        (float(scores[j]), j)
-        for j in range(problem.n_tasks)
-        if quota[j] > 0 and scores[j] > thresholds[j] and scores[j] > 0
-    ]
-    candidates.sort(reverse=True)
-    taken: list[tuple[int, int]] = []
-    for _score, j in candidates[:capacity]:
-        quota[j] -= 1
-        taken.append((worker_index, j))
-    return taken
+    up to their entry of ``capacities`` (:func:`take_best`)."""
+    taken = take_best(
+        problem.benefits.combined[worker_index],
+        int(capacities[worker_index]),
+        np.where(quota > 0, thresholds, np.inf),
+    )
+    quota[taken] -= 1
+    return [(worker_index, int(j)) for j in taken]
 
 
 @register_solver("online-two-phase")

@@ -11,7 +11,10 @@ slot) or dropped.  Two algorithms:
   The prices come from :func:`match_prices`, one call of the exact
   b-matching kernel.  :func:`online_greedy_matching` — each arrival
   takes its best available edge, 1/2-competitive for weighted
-  matching under random order — is its empty-sample case.
+  matching under random order — is its empty-sample case.  Its scalar
+  scan is the reference for :func:`take_best`, the vectorized
+  take-best step the ``online-*`` solvers and the stream policies
+  share.
 * :func:`ranking_matching` — the Karp–Vazirani–Vazirani RANKING
   algorithm for *unweighted* matching, (1−1/e)-competitive against
   adversarial order.  Included as the classical baseline.
@@ -64,6 +67,24 @@ def match_prices(
     for row, col in edges:
         prices[col] = max(prices[col], weights[row, col])
     return prices
+
+
+def take_best(
+    scores: np.ndarray, capacity: int, floor: float | np.ndarray = 0.0
+) -> np.ndarray:
+    """Positions of the ``capacity`` highest ``scores`` strictly above
+    ``max(floor, 0)``, best first.
+
+    The take-best step of online assignment: one arrival with
+    ``capacity`` units takes its best candidates above their prices
+    (``floor``, a scalar or one entry per score).  Ties go to the
+    lowest position, the order :func:`two_phase_matching`'s scan keeps.
+    """
+    if capacity <= 0:
+        return np.zeros(0, dtype=np.intp)
+    accepted = np.flatnonzero(scores > np.maximum(floor, 0.0))
+    order = np.argsort(-scores[accepted], kind="stable")
+    return accepted[order[:capacity]]
 
 
 def online_greedy_matching(

@@ -24,11 +24,9 @@ from repro.stream.dispatch import (
 )
 from repro.stream.events import (
     StreamEvent,
-    TaskExpired,
     TaskPosted,
     WindowFlush,
     WorkerLogin,
-    WorkerLogout,
 )
 from repro.stream.metrics import AssignmentRecord, StreamResult
 from repro.stream.policies import (
@@ -58,10 +56,8 @@ __all__ = [
     "StreamDispatcher",
     "StreamEvent",
     "StreamResult",
-    "TaskExpired",
     "TaskPosted",
     "WindowFlush",
     "WorkerLogin",
-    "WorkerLogout",
     "make_policy",
 ]

@@ -1,9 +1,8 @@
 """A deterministic synchronous event bus.
 
-The streaming dispatcher publishes :mod:`repro.stream.events` objects
-(and each :class:`~repro.stream.metrics.AssignmentRecord`, as the
-``"assignment"`` event); subscribers — the dispatch policies — receive
-them in subscription order, synchronously, on the publisher's stack.
+The streaming dispatcher publishes :mod:`repro.stream.events` objects;
+subscribers — the dispatch policies — receive them in subscription
+order, synchronously, on the publisher's stack.
 The dispatcher keeps its own books inline and publishes a kind only
 when something subscribed to it.  Synchronous delivery is a
 deliberate choice: the simulated clock must not advance while an
@@ -44,10 +43,6 @@ class EventBus:
         Handlers for one kind run in subscription order.
         """
         self._handlers.setdefault(kind, []).append(handler)
-
-    def clear(self) -> None:
-        """Drop every subscription (and the references handlers hold)."""
-        self._handlers.clear()
 
     def subscribers(self, kind: str) -> int:
         """Number of handlers currently registered for ``kind``."""

@@ -50,13 +50,7 @@ from repro.errors import ConfigurationError, ValidationError
 from repro.market.arrivals import Arrival, ArrivalProcess, PoissonArrivals
 from repro.market.market import LaborMarket
 from repro.stream.bus import EventBus
-from repro.stream.events import (
-    TaskExpired,
-    TaskPosted,
-    WindowFlush,
-    WorkerLogin,
-    WorkerLogout,
-)
+from repro.stream.events import TaskPosted, WindowFlush, WorkerLogin
 from repro.stream.metrics import (
     LATENCY_PERCENTILES,
     AssignmentRecord,
@@ -206,7 +200,6 @@ class DispatchRuntime:
         self,
         config: DispatchConfig,
         rows: RowwiseBenefit,
-        bus: EventBus,
         result: StreamResult | None = None,
         telemetry: "_Telemetry | None" = None,
         task_arrivals: _Lookahead | None = None,
@@ -214,7 +207,6 @@ class DispatchRuntime:
     ) -> None:
         self.config = config
         self.rows = rows
-        self.bus = bus
         self._task_arrivals = task_arrivals or _Lookahead(iter(()))
         self._worker_arrivals = worker_arrivals or _Lookahead(iter(()))
         # The cached block of posted-task columns: task -> column, and
@@ -234,9 +226,6 @@ class DispatchRuntime:
         self._scrape = (
             telemetry._assignments.append if telemetry is not None else None
         )
-        #: Whether any handler subscribed to ``"assignment"``; set by
-        #: the dispatch loop once the policy is bound.
-        self.publish_assignments = False
 
     def capacity(self, worker_index: int) -> int:
         return self.ledger.capacity(worker_index)
@@ -328,8 +317,6 @@ class DispatchRuntime:
         self.pending.append(record)
         if self._scrape is not None:
             self._scrape((worker_index, benefit, wait))
-        if self.publish_assignments:
-            self.bus.publish(record)
 
 
 class _Telemetry:
@@ -527,17 +514,6 @@ class StreamDispatcher:
         :attr:`last_result` once the generator is exhausted (or use
         :meth:`run`, which also times the drain).
         """
-        bus = EventBus()
-        try:
-            yield from self._events(bus, seed)
-        finally:
-            # Handlers close a cycle (bus -> handlers -> runtime -> bus)
-            # that would keep the run alive until a cyclic collection.
-            bus.clear()
-
-    def _events(
-        self, bus: EventBus, seed: SeedLike
-    ) -> Iterator[AssignmentRecord]:
         config = self.config
         if config.policy == "round":
             raise ConfigurationError(
@@ -565,12 +541,12 @@ class StreamDispatcher:
         runtime = DispatchRuntime(
             config,
             RowwiseBenefit(self.market, combiner=self.combiner),
-            bus,
             result,
             telemetry,
             task_stream,
             worker_stream,
         )
+        bus = EventBus()
         policy = make_policy(config, self.market.n_workers)
         policy.bind(runtime, bus)
 
@@ -579,12 +555,7 @@ class StreamDispatcher:
         publish = bus.publish
         publish_posted = bus.subscribers(TaskPosted.kind) > 0
         publish_login = bus.subscribers(WorkerLogin.kind) > 0
-        publish_logout = bus.subscribers(WorkerLogout.kind) > 0
-        publish_expired = bus.subscribers(TaskExpired.kind) > 0
         publish_flush = bus.subscribers(WindowFlush.kind) > 0
-        runtime.publish_assignments = (
-            bus.subscribers(AssignmentRecord.kind) > 0
-        )
         # Bound-method handles into the telemetry buffers: the per-event
         # cost of the windowed scrape is one C-level append/add (the
         # obs_overhead bench case gates the ratio).
@@ -654,14 +625,10 @@ class StreamDispatcher:
             result.expired_tasks += 1
             if telemetry is not None:
                 telemetry._expired += 1
-            if publish_expired:
-                publish(TaskExpired(time, task))
 
         def on_logout(time: float, session: int) -> None:
-            worker_index, _released = ledger.logout(session)
+            ledger.logout(session)
             result.logouts += 1
-            if publish_logout:
-                publish(WorkerLogout(time, session, worker_index))
 
         def on_flush(time: float, window: int) -> None:
             if publish_flush:

@@ -4,9 +4,9 @@ Every event is a small frozen dataclass with a class-level ``kind``
 string — the bus routes on ``kind``, handlers read the typed fields.
 The continuous dispatcher (:mod:`repro.stream.dispatch`) keeps its own
 books and builds one of these only to publish it to a subscriber (a
-policy); kinds nobody subscribed to are never built.  The
-``"assignment"`` event is the emitted
-:class:`~repro.stream.metrics.AssignmentRecord` itself.
+policy); kinds nobody subscribed to are never built.  Deadlines,
+logouts and assignments are booked by the dispatcher alone and have
+no event.
 
 Time semantics: ``time`` is simulated market time (the arrival
 process's clock), never wall-clock time.
@@ -42,15 +42,6 @@ class TaskPosted(StreamEvent):
 
 
 @dataclass(frozen=True)
-class TaskExpired(StreamEvent):
-    """An open task instance hit its deadline unassigned."""
-
-    kind: ClassVar[str] = "task-deadline"
-
-    instance_id: int
-
-
-@dataclass(frozen=True)
 class WorkerLogin(StreamEvent):
     """A worker logged in; ``session_id`` names the session opened."""
 
@@ -58,16 +49,6 @@ class WorkerLogin(StreamEvent):
 
     worker_index: int
     session_id: int
-
-
-@dataclass(frozen=True)
-class WorkerLogout(StreamEvent):
-    """A worker session ended; its remaining capacity is withdrawn."""
-
-    kind: ClassVar[str] = "worker-logout"
-
-    session_id: int
-    worker_index: int
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ p50/p95/p99 from there as obs *gauges* at run end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -24,14 +23,7 @@ LATENCY_PERCENTILES: tuple[int, ...] = (50, 95, 99)
 
 @dataclass(frozen=True)
 class AssignmentRecord:
-    """One emitted (worker, task) edge, as the writer serializes it.
-
-    It is also the ``"assignment"`` event on the dispatch bus: the
-    dispatcher builds one record per committed edge and publishes that
-    same object.
-    """
-
-    kind: ClassVar[str] = "assignment"
+    """One emitted (worker, task) edge, as the writer serializes it."""
 
     time: float
     worker_index: int

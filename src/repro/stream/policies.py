@@ -3,18 +3,20 @@
 A policy is a set of bus subscriptions over the dispatcher's runtime:
 it reacts to ``worker-login`` / ``task-posted`` (the micro-batch
 policy only to ``window-flush``) events by committing assignments
-through :meth:`DispatchRuntime.assign`.  Three online policies mirror
-the repository's online-matching layer:
+through :meth:`DispatchRuntime.assign`.  Two policies mirror the
+repository's online-matching layer:
 
-* :class:`GreedyPolicy` — arrival-instant best-positive-edge matching,
+* :class:`SamplePricePolicy` — the TGOA sample-and-price design
+  adapted to continuous arrivals: the sample prefix of worker logins
+  is matched greedily (price 0), then the median benefit the sample
+  realized becomes a price later arrivals must beat (decaying to zero
+  as a task's deadline nears, so a queued task is never priced out
+  forever).  Each login takes its best tasks through
+  :func:`repro.matching.online.take_best`.
+  :class:`GreedyPolicy` is its case with a sample that never ends,
   the streaming form of
   :func:`repro.matching.online.online_greedy_matching` (a property
   test pins the equivalence on identical arrival orders);
-* :class:`SamplePricePolicy` — the TGOA sample-and-price design
-  adapted to continuous arrivals: the sample prefix of worker logins
-  is matched greedily while observed edge benefits calibrate a price,
-  which later arrivals must beat (decaying to zero as a task's
-  deadline nears, so a queued task is never priced out forever);
 * :class:`MicroBatchPolicy` — accumulate arrivals and, at each
   boundary, solve the active window (online workers × open tasks)
   with one ``flow`` solve on a ``RowwiseBenefit`` block, exact for
@@ -27,12 +29,14 @@ engine wholesale and lives in :mod:`repro.stream.dispatch`.
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
 from repro import obs
 from repro.benefit.matrices import BenefitMatrices
 from repro.errors import ConfigurationError
+from repro.matching.online import take_best
 from repro.stream.events import TaskPosted, WindowFlush, WorkerLogin
 
 #: Online policies selectable in ``DispatchConfig.policy`` (round mode
@@ -42,6 +46,10 @@ ONLINE_POLICIES: tuple[str, ...] = (
     "sample-price",
     "micro-batch",
 )
+
+#: Percentile of the sample's assignment benefits that sets the
+#: sample-and-price acceptance price: the median.
+PRICE_QUANTILE = 50.0
 
 
 class DispatchPolicy(abc.ABC):
@@ -54,152 +62,87 @@ class DispatchPolicy(abc.ABC):
         """Keep the runtime and subscribe handlers on the dispatch bus."""
 
 
-class GreedyPolicy(DispatchPolicy):
-    """Best-positive-edge assignment at every arrival instant."""
+class SamplePricePolicy(DispatchPolicy):
+    """Sample-and-price: a greedy prefix calibrates an acceptance price.
 
-    name = "greedy"
+    While the first ``sample_cutoff`` worker logins run the price is 0,
+    so every arrival takes its best positive edges (the sample still
+    produces value — no discarded secretary sample).  When the sample
+    ends the price becomes the median benefit of the sample's
+    assignments.  It is read from ``runtime.result.records`` the first
+    time a handler needs it, which always comes before the first
+    post-sample assignment.  Afterwards an edge is only taken when its
+    benefit beats the price scaled by the task's remaining deadline
+    fraction — fresh tasks hold out for good matches, tasks near
+    expiry accept anything positive.
+    """
+
+    name = "sample-price"
+
+    def __init__(self, sample_cutoff: float) -> None:
+        if sample_cutoff < 0:
+            raise ConfigurationError(
+                f"sample_cutoff must be >= 0, got {sample_cutoff}"
+            )
+        self.sample_cutoff = sample_cutoff
+        self._logins_seen = 0
+        self._price: float | None = None
 
     def bind(self, runtime, bus) -> None:
         self.runtime = runtime
         bus.subscribe("worker-login", self._on_login)
         bus.subscribe("task-posted", self._on_posted)
 
-    def _offer(self, worker_index: int, time: float) -> None:
-        """Give an online worker their best open tasks, greedily."""
-        runtime = self.runtime
-        capacity = runtime.capacity(worker_index)
-        if capacity <= 0:
-            return
-        tasks, _posted = runtime.open_arrays()
-        if tasks.size == 0:
-            return
-        benefits = runtime.rows.row(worker_index, tasks)
-        # Static scores: taking the top-k one at a time equals taking
-        # them at once.  Stable sort keeps ties on the lowest task
-        # index, matching the online greedy reference's scan order.
-        order = np.argsort(-benefits, kind="stable")[:capacity]
-        for position in order:
-            benefit = float(benefits[position])
-            if benefit <= 0.0:
-                break
-            runtime.assign(
-                worker_index, int(tasks[position]), time, benefit
-            )
-
-    def _on_login(self, event: WorkerLogin) -> None:
-        self._offer(event.worker_index, event.time)
-
-    def _on_posted(self, event: TaskPosted) -> None:
-        runtime = self.runtime
-        workers = runtime.online_array()
-        if workers.size == 0:
-            return
-        benefits = runtime.column(event.task_index, workers)
-        best = int(benefits.argmax())
-        if float(benefits[best]) <= 0.0:
-            return
-        runtime.assign(
-            int(workers[best]),
-            event.task_index,
-            event.time,
-            float(benefits[best]),
-        )
-
-
-class SamplePricePolicy(GreedyPolicy):
-    """Sample-and-price: greedy prefix calibrates an acceptance price.
-
-    The first ``sample_cutoff`` worker logins behave greedily (they
-    still produce value — no discarded secretary sample); the benefits
-    they realize become the observed value distribution, whose
-    ``price_quantile`` sets the price.  Afterwards an edge is only
-    taken when its benefit beats the price scaled by the task's
-    remaining deadline fraction — fresh tasks hold out for good
-    matches, tasks near expiry accept anything positive.
-    """
-
-    name = "sample-price"
-
-    def __init__(
-        self, sample_cutoff: int, price_quantile: float = 50.0
-    ) -> None:
-        if sample_cutoff < 0:
-            raise ConfigurationError(
-                f"sample_cutoff must be >= 0, got {sample_cutoff}"
-            )
-        self.sample_cutoff = sample_cutoff
-        self.price_quantile = price_quantile
-        self._logins_seen = 0
-        self._sample_benefits: list[float] = []
-        self._price: float | None = None
-
-    def bind(self, runtime, bus) -> None:
-        super().bind(runtime, bus)
-        bus.subscribe("assignment", self._on_assignment)
-
-    def _on_assignment(self, event) -> None:
-        if self._logins_seen <= self.sample_cutoff:
-            self._sample_benefits.append(event.benefit)
-
     @property
     def price(self) -> float:
-        """The calibrated acceptance price (0 before calibration)."""
+        """The acceptance price: 0 while the sample runs, then the
+        median benefit of the sample's assignments."""
+        if self._logins_seen <= self.sample_cutoff:
+            return 0.0
         if self._price is None:
-            if not self._sample_benefits:
-                return 0.0
-            self._price = float(
-                np.percentile(
-                    np.asarray(self._sample_benefits), self.price_quantile
-                )
+            benefits = [r.benefit for r in self.runtime.result.records]
+            self._price = (
+                float(np.percentile(benefits, PRICE_QUANTILE))
+                if benefits
+                else 0.0
             )
             obs.gauge("stream.sample_price", self._price)
         return self._price
 
-    def _in_sample(self) -> bool:
-        return self._logins_seen <= self.sample_cutoff
-
     def _thresholds(
         self, posted: np.ndarray, time: float
-    ) -> np.ndarray:
-        """Per-task acceptance price, decayed by deadline proximity."""
+    ) -> np.ndarray | float:
+        """Per-task acceptance price, decayed by deadline proximity
+        (the scalar 0 while there is no price)."""
+        price = self.price
+        if price <= 0.0:
+            return 0.0
         deadline = self.runtime.config.deadline
         remaining = np.maximum(1.0 - (time - posted) / deadline, 0.0)
-        return self.price * remaining
+        return price * remaining
 
     def _on_login(self, event: WorkerLogin) -> None:
         self._logins_seen += 1
-        if self._in_sample():
-            self._offer(event.worker_index, event.time)
-            return
         runtime = self.runtime
-        capacity = runtime.capacity(event.worker_index)
+        worker = event.worker_index
+        capacity = runtime.capacity(worker)
         if capacity <= 0:
             return
         tasks, posted = runtime.open_arrays()
         if tasks.size == 0:
             return
-        benefits = runtime.rows.row(event.worker_index, tasks)
-        accept = benefits > np.maximum(
-            self._thresholds(posted, event.time), 0.0
-        )
-        order = np.argsort(-benefits, kind="stable")
-        for position in order:
-            if capacity <= 0:
-                break
-            if not accept[position] or float(benefits[position]) <= 0.0:
-                continue
+        benefits = runtime.rows.row(worker, tasks)
+        for position in take_best(
+            benefits, capacity, self._thresholds(posted, event.time)
+        ):
             runtime.assign(
-                event.worker_index,
+                worker,
                 int(tasks[position]),
                 event.time,
                 float(benefits[position]),
             )
-            capacity -= 1
 
     def _on_posted(self, event: TaskPosted) -> None:
-        if self._in_sample():
-            super()._on_posted(event)
-            return
         runtime = self.runtime
         workers = runtime.online_array()
         if workers.size == 0:
@@ -207,7 +150,7 @@ class SamplePricePolicy(GreedyPolicy):
         benefits = runtime.column(event.task_index, workers)
         best = int(benefits.argmax())
         # A freshly posted task is at full price.
-        if float(benefits[best]) <= max(self.price, 0.0):
+        if float(benefits[best]) <= self.price:
             return
         runtime.assign(
             int(workers[best]),
@@ -215,6 +158,16 @@ class SamplePricePolicy(GreedyPolicy):
             event.time,
             float(benefits[best]),
         )
+
+
+class GreedyPolicy(SamplePricePolicy):
+    """Best-positive-edge assignment at every arrival instant:
+    sample-and-price whose sample never ends, so every price is 0."""
+
+    name = "greedy"
+
+    def __init__(self) -> None:
+        super().__init__(sample_cutoff=math.inf)
 
 
 class MicroBatchPolicy(DispatchPolicy):

@@ -12,6 +12,7 @@ from repro.core.solvers import get_solver
 from repro.datagen.synthetic import SyntheticConfig, generate_market
 from repro.datagen.traces import workload_registry
 from repro.market.arrivals import BatchArrivals, PoissonArrivals, TraceArrivals
+from repro.matching.online import online_greedy_matching
 
 
 def _problem(seed=0, **kwargs):
@@ -95,6 +96,25 @@ class TestOnlineGreedy:
         for i, _j in assignment.edges:
             loads[i] = loads.get(i, 0) + 1
         assert all(load <= 2 for load in loads.values())
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[[1.0, 1.0, 0.5]], [[0.5, 2.0, 2.0], [2.0, 2.0, 2.0]]],
+    )
+    def test_ties_go_to_the_lowest_task_like_the_reference(self, weights):
+        """A tied row takes its lowest task index, as the scalar
+        ``online_greedy_matching`` scan does."""
+        n_workers, n_tasks = np.shape(weights)
+        problem = _block(weights, [1] * n_workers, [1] * n_tasks)
+        solver = get_solver(
+            "online-greedy", arrivals=TraceArrivals(list(range(n_workers)))
+        )
+        reference = online_greedy_matching(
+            list(range(n_workers)),
+            n_tasks,
+            lambda i, j: weights[i][j],
+        )
+        assert sorted(solver.solve(problem, seed=0).edges) == reference
 
 
 class TestOnlineTwoPhase:

@@ -17,6 +17,7 @@ from repro.core.solvers.sharded import (
 )
 from repro.datagen.synthetic import SyntheticConfig, generate_market
 from repro.errors import ValidationError
+from tests.lp_oracle import lp_optimum
 
 
 def _problem(
@@ -225,3 +226,36 @@ class TestUpperBound:
             _capacity_bound_sparse(rows, values[rows, cols], caps, 4)
             == 0.0
         )
+
+
+class TestGapBoundOracle:
+    """The reported gap brackets the true optimum: what the sharded
+    solve achieved is at most the LP optimum of the whole b-matching,
+    which is at most the capacity-relaxed upper bound."""
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_lp_optimum_lies_between_achieved_and_bound(self, seed):
+        rng = np.random.default_rng(seed)
+        problem = _problem(
+            seed=seed,
+            n_workers=int(rng.integers(6, 30)),
+            n_tasks=int(rng.integers(3, 16)),
+            n_categories=int(rng.integers(2, 5)),
+        )
+        solver = get_solver(
+            "sharded",
+            base=("pruned-greedy", "flow", "greedy")[seed % 3],
+            strategy=("category", "balanced")[seed % 2],
+            n_shards=3,
+            refine=seed % 4 != 0,
+            boundary_k=int(rng.integers(1, 6)),
+        )
+        solver.solve(problem, seed=seed)
+        report = solver.last_report
+        optimum = lp_optimum(
+            problem.benefits.combined,
+            problem.worker_capacities(),
+            problem.task_capacities(),
+        )
+        assert report.achieved <= optimum + 1e-9
+        assert optimum <= report.upper_bound + 1e-9

@@ -24,6 +24,7 @@ from repro.matching.reference import b_matching_reference
 from repro.perf.harness import build_stream_suite
 from repro.spec import compile_stream
 from repro.stream import StreamDispatcher
+from tests.lp_oracle import lp_optimum
 
 
 def _brute_force_b_matching(weights, row_caps, col_caps):
@@ -204,42 +205,6 @@ def _search(name):
         yield
 
 
-def _lp_optimum(weights, row_caps, col_caps):
-    """The b-matching LP over candidate edges; integral by total
-    unimodularity of the bipartite incidence matrix.
-
-    HiGHS judges optimality against absolute tolerances (1e-7 by
-    default), so a weight below that could be traded for a smaller one.
-    The costs are divided by the largest candidate weight and the
-    tolerances are set to their tightest, which keeps the oracle's own
-    error well under the comparison bound."""
-    optimize = pytest.importorskip("scipy.optimize")
-    n, m = weights.shape
-    rows, cols = np.nonzero(
-        (weights > 0) & (row_caps[:, None] > 0) & (col_caps[None, :] > 0)
-    )
-    if rows.size == 0:
-        return 0.0
-    incidence = np.zeros((n + m, rows.size))
-    incidence[rows, np.arange(rows.size)] = 1.0
-    incidence[n + cols, np.arange(rows.size)] = 1.0
-    costs = weights[rows, cols]
-    unit = float(costs.max())
-    solution = optimize.linprog(
-        -costs / unit,
-        A_ub=incidence,
-        b_ub=np.concatenate([row_caps, col_caps]).astype(float),
-        bounds=(0.0, 1.0),
-        method="highs",
-        options={
-            "dual_feasibility_tolerance": 1e-10,
-            "primal_feasibility_tolerance": 1e-10,
-        },
-    )
-    assert solution.status == 0, solution.message
-    return float(-solution.fun) * unit
-
-
 def _assert_feasible(edges, total, weights, row_caps, col_caps):
     """Degrees within capacities, no repeated pair, only positive
     weights, and the reported total is the sum over the edges."""
@@ -290,7 +255,7 @@ class TestAgainstOracles:
     @given(b_matching_instances())
     def test_matches_lp_optimum(self, instance):
         weights, row_caps, col_caps = instance
-        optimum = _lp_optimum(weights, row_caps, col_caps)
+        optimum = lp_optimum(weights, row_caps, col_caps)
         for total in _solve_both(weights, row_caps, col_caps):
             assert abs(total - optimum) <= 1e-9 * _scale(weights)
 
@@ -301,7 +266,7 @@ class TestAgainstOracles:
         _ref_edges, ref_total = b_matching_reference(
             weights, row_caps, col_caps
         )
-        optimum = _lp_optimum(weights, row_caps, col_caps)
+        optimum = lp_optimum(weights, row_caps, col_caps)
         for total in _solve_both(weights, row_caps, col_caps):
             assert abs(total - ref_total) <= 1e-9 * _scale(weights)
             assert abs(total - optimum) <= 1e-9 * _scale(weights)
@@ -319,7 +284,7 @@ class TestAgainstOracles:
         _ref_edges, ref_total = b_matching_reference(
             weights, row_caps, col_caps
         )
-        optimum = _lp_optimum(weights, row_caps, col_caps)
+        optimum = lp_optimum(weights, row_caps, col_caps)
         for total in _solve_both(weights, row_caps, col_caps):
             assert abs(total - ref_total) <= 1e-9 * _scale(weights)
             assert abs(total - optimum) <= 1e-9 * _scale(weights)

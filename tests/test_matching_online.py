@@ -10,6 +10,7 @@ from repro.matching.online import (
     match_prices,
     online_greedy_matching,
     ranking_matching,
+    take_best,
     two_phase_matching,
 )
 from repro.matching.reference import b_matching_reference
@@ -294,3 +295,41 @@ class TestMatchPrices:
             assert total <= (col_caps * prices).sum() + 1e-9
             if (col_caps <= 1).all():
                 assert prices.sum() == pytest.approx(total)
+
+
+class TestTakeBest:
+    def test_best_first_with_ties_on_the_lowest_position(self):
+        scores = np.array([1.0, 2.0, 2.0, 0.5, 2.0])
+        assert take_best(scores, 2).tolist() == [1, 2]
+        assert take_best(scores, 9).tolist() == [1, 2, 4, 0, 3]
+
+    def test_strictly_above_the_floor_and_zero(self):
+        scores = np.array([0.0, -1.0, 1.0, 3.0])
+        assert take_best(scores, 4).tolist() == [3, 2]
+        assert take_best(scores, 4, 1.0).tolist() == [3]
+        floor = np.array([-5.0, -5.0, 0.5, 3.0])
+        assert take_best(scores, 4, floor).tolist() == [2]
+
+    def test_no_capacity_takes_nothing(self):
+        assert take_best(np.array([1.0]), 0).size == 0
+
+    def test_one_unit_picks_what_the_scalar_scan_picks(self):
+        """Capacity 1 is one step of ``two_phase_matching``'s scan;
+        rounded scores make ties common."""
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            m = int(rng.integers(1, 8))
+            scores = np.round(rng.normal(size=m), 1)
+            prices = np.round(rng.uniform(-0.5, 0.5, size=m), 1)
+            expected = two_phase_matching(
+                [0],
+                m,
+                lambda left, right: (
+                    float(scores[right])
+                    if scores[right] > prices[right]
+                    else None
+                ),
+                sample_fraction=0.0,
+            )
+            taken = take_best(scores, 1, prices)
+            assert [(0, int(j)) for j in taken] == expected

@@ -19,7 +19,6 @@ from repro.errors import ConfigurationError, ValidationError
 from repro.market.arrivals import TraceArrivals
 from repro.market.market import LaborMarket
 from repro.stream import DispatchConfig, StreamDispatcher
-from repro.stream.bus import EventBus
 from repro.stream.dispatch import DispatchRuntime
 
 
@@ -153,21 +152,16 @@ class TestSingleSession:
     Arrival processes yield each worker once, so the dispatcher never
     logs an online worker in again; the ledger refuses it outright.
     Logging back in after a logout opens a fresh grant, and the
-    runtime books each assignment as one record that is also the
-    published ``assignment`` event.  Scripted on the runtime directly.
+    runtime books each assignment as one record.  Scripted on the
+    runtime directly.
     """
 
     def test_relogin_after_logout_gets_a_fresh_grant(self):
         market = _market(seed=0, n_workers=3, n_tasks=3)
-        bus = EventBus()
-        published = []
-        bus.subscribe("assignment", published.append)
         runtime = DispatchRuntime(
             DispatchConfig(session_length=5.0, deadline=4.0),
             RowwiseBenefit(market),
-            bus,
         )
-        runtime.publish_assignments = True
         # Worker 0's best task, guaranteed assignable.
         combined = build_benefit_matrices(market).combined
         task = int(np.argmax(combined[0]))
@@ -186,7 +180,6 @@ class TestSingleSession:
         (record,) = runtime.result.records
         assert record.wait == 0.5
         assert runtime.pending[0] is record
-        assert published[0] is record
         assert runtime.result.combined_benefit == record.benefit
 
 

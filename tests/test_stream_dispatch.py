@@ -9,7 +9,6 @@ arrival orders.
 import dataclasses
 import gc
 import hashlib
-import types
 import weakref
 
 import numpy as np
@@ -32,10 +31,13 @@ from repro.stream import (
     ONLINE_POLICIES,
     DispatchConfig,
     DispatchRuntime,
+    EventBus,
     GreedyPolicy,
     MicroBatchPolicy,
     SamplePricePolicy,
     StreamDispatcher,
+    TaskPosted,
+    WorkerLogin,
     make_policy,
 )
 
@@ -316,38 +318,6 @@ class TestOnlinePolicies:
         ) == self.PINNED_TALLIES[policy]
         assert result.dropped_tasks == result.skipped_logins == 0
 
-    def test_policy_subscribed_to_deadlines_and_logouts_sees_them_all(
-        self, monkeypatch
-    ):
-        """Kinds the built-in policies ignore are still delivered to a
-        policy that subscribes to them."""
-        seen = {"task-deadline": [], "worker-logout": [], "worker-login": []}
-
-        class Watching(SamplePricePolicy):
-            def bind(self, runtime, bus):
-                super().bind(runtime, bus)
-                for kind, events in seen.items():
-                    bus.subscribe(kind, events.append)
-
-        def make_watching(config, n_workers):
-            return Watching(make_policy(config, n_workers).sample_cutoff)
-
-        baseline = self._pinned_run("sample-price")
-        monkeypatch.setattr(
-            "repro.stream.dispatch.make_policy", make_watching
-        )
-        result = self._pinned_run("sample-price")
-        assert _pairs(result) == _pairs(baseline)
-        expired = seen["task-deadline"]
-        assert len(expired) == result.expired_tasks == 7
-        assigned = {r.task_index for r in result.records}
-        assert not {e.instance_id for e in expired} & assigned
-        logins = {e.session_id: e.worker_index for e in seen["worker-login"]}
-        logouts = seen["worker-logout"]
-        assert len(logouts) == result.logouts == len(logins)
-        for event in logouts:
-            assert logins.pop(event.session_id) == event.worker_index
-
     def test_only_subscribed_kinds_are_published(self):
         """Greedy subscribes to postings and logins only; deadlines,
         logouts and assignments are booked without a bus event."""
@@ -399,20 +369,57 @@ class TestOnlinePolicies:
             assert np.array_equal(requester, full.requester)
             assert np.array_equal(worker, full.worker)
 
-    def test_sample_price_decays_to_zero_at_deadline(self):
-        policy = SamplePricePolicy(sample_cutoff=0)
-        policy.runtime = types.SimpleNamespace(
-            config=DispatchConfig(deadline=10.0)
+    @staticmethod
+    def _after_sample(open_tasks):
+        """A sample-price policy whose one-login sample has run, and
+        whose first post-sample login found no open task."""
+        market = _market(seed=1)
+        runtime = DispatchRuntime(
+            DispatchConfig(deadline=10.0, session_length=100.0),
+            RowwiseBenefit(market),
         )
-        policy._price = 2.0
+        policy = SamplePricePolicy(sample_cutoff=1)
+        policy.bind(runtime, EventBus())
+        for task in open_tasks:
+            runtime.open[task] = 0.0
+        for time, worker in ((0.0, 0), (1.0, 1)):
+            session = runtime.ledger.login(
+                worker, market.workers[worker].capacity
+            )
+            policy._on_login(WorkerLogin(time, worker, session))
+            runtime.open.clear()  # the rest expire
+        sample = [record.benefit for record in runtime.result.records]
+        assert sample and all(benefit > 0 for benefit in sample)
+        assert policy._price is None  # nothing has read it yet
+        return policy, runtime, sample
+
+    def test_sample_price_decays_to_zero_at_deadline(self):
+        policy, _runtime, sample = self._after_sample(range(12))
         posted = np.array([5.0])
         thresholds = [
             float(policy._thresholds(posted, time)[0])
             for time in (5.0, 14.9, 15.0, 20.0)
         ]
-        assert thresholds[0] == 2.0  # full price when posted
+        # Full price when posted: the median of the sample's benefits.
+        assert thresholds[0] == policy.price == pytest.approx(
+            np.median(sample), rel=1e-12
+        )
         assert 0.0 < thresholds[1] < thresholds[0]
         assert thresholds[2] == thresholds[3] == 0.0
+
+    def test_price_first_read_by_a_posting_is_the_sample_median(self):
+        """The first post-sample login found no open task, so a posting
+        reads the price first; it is still the sample's median."""
+        policy, runtime, sample = self._after_sample(range(11))
+        runtime.open[11] = 2.0
+        policy._on_posted(TaskPosted(2.0, 11, 11))
+        assert policy._price == pytest.approx(np.median(sample), rel=1e-12)
+        # Its best edge is positive, so greedy would take it, but it
+        # is below the price: the task stays open.
+        best = runtime.column(11, runtime.online_array()).max()
+        assert 0.0 < best < policy.price
+        assert 11 in runtime.open
+        assert len(runtime.result.records) == len(sample)
 
     def test_full_sample_fraction_degenerates_to_greedy(self):
         market = _market(seed=4)
