@@ -33,6 +33,7 @@ from repro.core.objective import LinearObjective
 from repro.core.problem import MBAProblem
 from repro.core.solvers.base import Solver, register_solver
 from repro.errors import ValidationError
+from repro.matching.greedy import ranked_edges
 from repro.types import Edge
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_fraction
@@ -146,9 +147,12 @@ class CategoryDiversityConstraint(Constraint):
 class ConstrainedGreedySolver(Solver):
     """Greedy that honours an arbitrary list of constraints.
 
-    Candidates are visited in decreasing surrogate-gain order; an edge
-    is taken when capacities allow it, every constraint allows it, and
-    its marginal gain is positive.  Uses plain (non-lazy) ordering
+    Candidates are visited in decreasing surrogate-gain order, ties to
+    the lowest ``(worker, task)``
+    (:func:`~repro.matching.greedy.ranked_edges`); an edge is taken
+    when capacities allow it, every constraint allows it, and its
+    marginal gain is positive.  With no constraints and the linear
+    objective this is ``greedy``.  Uses plain (non-lazy) ordering
     because constraint checks are cheap relative to the coverage
     marginals this solver is typically paired with.
     """
@@ -161,21 +165,11 @@ class ConstrainedGreedySolver(Solver):
 
     def solve(self, problem: MBAProblem, seed: SeedLike = None) -> Assignment:
         objective = self._objective_factory(problem)
-        caps_w = problem.worker_capacities().copy()
-        caps_t = problem.task_capacities().copy()
-        combined = problem.benefits.combined
-        candidates = sorted(
-            (
-                (float(combined[i, j]), i, j)
-                for i in range(problem.n_workers)
-                if caps_w[i] > 0
-                for j in range(problem.n_tasks)
-                if caps_t[j] > 0 and combined[i, j] > 0
-            ),
-            reverse=True,
-        )
+        caps_w = problem.worker_capacities()
+        caps_t = problem.task_capacities()
+        rows, cols = ranked_edges(problem.benefits.combined, caps_w, caps_t)
         chosen: list[Edge] = []
-        for _gain, i, j in candidates:
+        for i, j in zip(rows.tolist(), cols.tolist()):
             if caps_w[i] <= 0 or caps_t[j] <= 0:
                 continue
             edge = (i, j)

@@ -33,6 +33,7 @@ from repro.core.problem import MBAProblem
 from repro.core.solvers.base import Solver, register_solver
 from repro.errors import ConvergenceError
 from repro.matching.auction import auction_assignment
+from repro.matching.greedy import candidate_edges, take_in_order
 from repro.utils.rng import SeedLike
 
 
@@ -182,30 +183,18 @@ class AuctionSolver(Solver):
             edges.append((i, j))
 
         # Greedy refill of capacity freed by dropped duplicates.
+        unseen = np.ones(combined.shape, dtype=bool)
+        if seen:
+            taken = np.asarray(sorted(seen), dtype=int)
+            unseen[taken[:, 0], taken[:, 1]] = False
         spare_w = caps_w - load_w
         spare_t = caps_t - load_t
-        if spare_w.sum() > 0 and spare_t.sum() > 0:
-            viable = (
-                (spare_w > 0)[:, np.newaxis]
-                & (spare_t > 0)[np.newaxis, :]
-                & (combined > 0)
-            )
-            if seen:
-                taken = np.asarray(sorted(seen), dtype=int)
-                viable[taken[:, 0], taken[:, 1]] = False
-            flat = np.flatnonzero(viable)
-            # Highest value first; on ties, highest (i, j) — the order
-            # `sorted(..., reverse=True)` of (value, i, j) tuples gave.
-            order = np.lexsort((-flat, -combined.reshape(-1)[flat]))
-            n_tasks = problem.n_tasks
-            for position in flat[order]:
-                i = int(position) // n_tasks
-                j = int(position) % n_tasks
-                if spare_w[i] > 0 and spare_t[j] > 0:
-                    spare_w[i] -= 1
-                    spare_t[j] -= 1
-                    seen.add((i, j))
-                    edges.append((i, j))
+        rows, cols = candidate_edges(combined, spare_w, spare_t, mask=unseen)
+        # Highest value first; on ties, highest (i, j) — the order
+        # `sorted(..., reverse=True)` of (value, i, j) tuples gave.
+        rows, cols = rows[::-1], cols[::-1]
+        order = np.argsort(-combined[rows, cols], kind="stable")
+        edges += take_in_order(rows[order], cols[order], spare_w, spare_t)
         return edges
 
     @staticmethod

@@ -19,6 +19,7 @@ from repro.core.assignment import Assignment
 from repro.core.problem import MBAProblem
 from repro.core.solvers.base import Solver, register_solver
 from repro.matching.b_matching import max_weight_b_matching
+from repro.matching.greedy import candidate_edges, take_in_order
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -58,24 +59,12 @@ class RandomSolver(Solver):
     """Random feasible edges among positive-combined-benefit candidates."""
 
     def solve(self, problem: MBAProblem, seed: SeedLike = None) -> Assignment:
-        rng = as_rng(seed)
-        caps_w = problem.worker_capacities().copy()
-        caps_t = problem.task_capacities().copy()
-        combined = problem.benefits.combined
-        candidates = [
-            (i, j)
-            for i in range(problem.n_workers)
-            if caps_w[i] > 0
-            for j in range(problem.n_tasks)
-            if caps_t[j] > 0 and combined[i, j] > 0
-        ]
-        rng.shuffle(candidates)
-        edges: list[tuple[int, int]] = []
-        for i, j in candidates:
-            if caps_w[i] > 0 and caps_t[j] > 0:
-                caps_w[i] -= 1
-                caps_t[j] -= 1
-                edges.append((i, j))
+        caps_w = problem.worker_capacities()
+        caps_t = problem.task_capacities()
+        rows, cols = candidate_edges(problem.benefits.combined, caps_w, caps_t)
+        order = np.arange(len(rows))
+        as_rng(seed).shuffle(order)
+        edges = take_in_order(rows[order], cols[order], caps_w, caps_t)
         return self._finish(problem, edges)
 
 

@@ -28,6 +28,7 @@ from repro.core.problem import MBAProblem
 from repro.core.solvers.base import Solver, register_solver
 from repro.errors import ValidationError
 from repro.matching.b_matching import max_weight_b_matching
+from repro.matching.greedy import candidate_edges, ranked_edges
 from repro.utils.rng import SeedLike
 from repro.utils.stats import edge_matrix_sum
 
@@ -124,22 +125,14 @@ class BudgetedFlowSolver(Solver):
         self, problem: MBAProblem
     ) -> list[tuple[int, int]]:
         """The highest-value single edge the budget can afford."""
-        combined = problem.benefits.combined
-        payments = problem.market.task_payments()
-        caps_w = problem.worker_capacities()
-        caps_t = problem.task_capacities()
-        best_value = 0.0
-        best: list[tuple[int, int]] = []
-        for i in range(problem.n_workers):
-            if caps_w[i] <= 0:
-                continue
-            for j in range(problem.n_tasks):
-                if caps_t[j] <= 0 or payments[j] > self.budget + 1e-9:
-                    continue
-                if combined[i, j] > best_value:
-                    best_value = float(combined[i, j])
-                    best = [(i, j)]
-        return best
+        affordable = problem.market.task_payments() <= self.budget + 1e-9
+        rows, cols = ranked_edges(
+            problem.benefits.combined,
+            problem.worker_capacities(),
+            problem.task_capacities(),
+            mask=affordable[np.newaxis, :],
+        )
+        return [(int(rows[0]), int(cols[0]))] if rows.size else []
 
     def _greedy_fill(
         self, problem: MBAProblem, edges: list[tuple[int, int]]
@@ -155,28 +148,19 @@ class BudgetedFlowSolver(Solver):
         spend = assignment_spend(problem, edges)
         caps_w = problem.worker_capacities().copy()
         caps_t = problem.task_capacities().copy()
-        taken = set(edges)
+        untaken = np.ones(combined.shape, dtype=bool)
         for i, j in edges:
             caps_w[i] -= 1
             caps_t[j] -= 1
-        candidates = sorted(
-            (
-                (
-                    float(combined[i, j]) / max(float(payments[j]), 1e-12),
-                    i,
-                    j,
-                )
-                for i in range(problem.n_workers)
-                if caps_w[i] > 0
-                for j in range(problem.n_tasks)
-                if caps_t[j] > 0
-                and combined[i, j] > 0
-                and (i, j) not in taken
-            ),
-            reverse=True,
-        )
+            untaken[i, j] = False
+        rows, cols = candidate_edges(combined, caps_w, caps_t, mask=untaken)
+        density = combined[rows, cols] / np.maximum(payments[cols], 1e-12)
+        # Densest first; on ties, highest (i, j) — the order
+        # `sorted(..., reverse=True)` of (density, i, j) tuples gave.
+        order = np.lexsort((-cols, -rows, -density))
+        candidates = zip(rows[order].tolist(), cols[order].tolist())
         result = list(edges)
-        for _density, i, j in candidates:
+        for i, j in candidates:
             if caps_w[i] <= 0 or caps_t[j] <= 0:
                 continue
             if spend + payments[j] > self.budget + 1e-9:

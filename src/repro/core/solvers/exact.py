@@ -36,6 +36,7 @@ from repro.core.problem import MBAProblem
 from repro.core.solvers.base import Solver, register_solver
 from repro.core.solvers.greedy import GreedySolver
 from repro.errors import ValidationError
+from repro.matching.greedy import ranked_edges
 from repro.utils.rng import SeedLike
 
 
@@ -55,20 +56,14 @@ class ExactSolver(Solver):
         caps_t = problem.task_capacities()
         combined = problem.benefits.combined
 
-        candidates = [
-            (float(combined[i, j]), i, j)
-            for i in range(problem.n_workers)
-            if caps_w[i] > 0
-            for j in range(problem.n_tasks)
-            if caps_t[j] > 0 and combined[i, j] > 0
-        ]
-        if len(candidates) > self.max_edges:
+        rows, cols = ranked_edges(combined, caps_w, caps_t)
+        if rows.size > self.max_edges:
             raise ValidationError(
                 f"exact solver limited to {self.max_edges} candidate edges, "
-                f"instance has {len(candidates)}; use 'flow' or 'greedy'"
+                f"instance has {rows.size}; use 'flow' or 'greedy'"
             )
-        candidates.sort(reverse=True)
-        gains = np.array([g for g, _i, _j in candidates])
+        candidates = list(zip(rows.tolist(), cols.tolist()))
+        gains = combined[rows, cols]
         # prefix[k] = sum of the k largest gains; the best R additions
         # from position k onward are gains[k : k + R] because the list
         # is sorted descending.
@@ -107,7 +102,7 @@ class ExactSolver(Solver):
                 return
             if current_value + bound_from(k) <= best_value + 1e-12:
                 return
-            _gain, i, j = candidates[k]
+            i, j = candidates[k]
             # Branch 1: include (i, j) if capacity remains.
             if remaining_w[i] > 0 and remaining_t[j] > 0:
                 marginal = objective.marginal(current, (i, j))

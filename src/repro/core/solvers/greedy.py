@@ -1,17 +1,18 @@
-"""Lazy greedy for arbitrary (notably submodular) objectives.
+"""Greedy: take the best remaining edge while both its ends have room.
 
-Classic accelerated greedy: keep every candidate edge in a max-heap
-keyed by its *last known* marginal gain; pop, recompute against the
-current solution, and either take the edge (if its fresh gain still
-beats the heap top) or push it back with the fresh key.  For submodular
-objectives gains only shrink as the solution grows, so a stale key is
-an upper bound and laziness is exact.  Over a partition matroid (worker
-capacities × task replications) greedy guarantees 1/2 of the optimum;
-experiment F12 measures the real gap (typically > 0.9).
-
-For the linear combiner an edge's marginal gain never changes, so lazy
-greedy degenerates into "sort edges by weight and take greedily" —
-correct, and fast.
+When the objective decomposes over edges (:class:`LinearObjective`
+under an edge-decomposing combiner) gains never change, so greedy is
+one walk over the candidates, heaviest first, ties to the lowest
+``(worker, task)`` (:mod:`repro.matching.greedy`).  Only objectives
+that do not decompose (:class:`CoverageObjective`, the Nash and
+egalitarian combiners) keep lazy greedy: a max-heap of *last known*
+marginal gains, whose popped edge is re-evaluated and taken if its
+fresh gain still beats the heap top, else re-queued.  For submodular
+objectives a stale key upper-bounds the fresh gain, so laziness is
+exact; its insertion counter keeps the walk's tie rule.  Over a
+partition matroid (worker capacities × task replications) greedy
+guarantees 1/2 of the optimum; experiment F12 measures the real gap
+(typically > 0.9).
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from repro.core.assignment import Assignment
 from repro.core.objective import LinearObjective, Objective
 from repro.core.problem import MBAProblem
 from repro.core.solvers.base import Solver, register_solver
+from repro.matching.greedy import candidate_edges, ranked_edges, take_in_order
 from repro.utils.rng import SeedLike
 
 
 @register_solver("greedy")
 class GreedySolver(Solver):
-    """Lazy greedy over the problem's objective.
+    """Greedy over the problem's objective.
 
     Parameters
     ----------
@@ -50,47 +52,35 @@ class GreedySolver(Solver):
 
     def solve(self, problem: MBAProblem, seed: SeedLike = None) -> Assignment:
         objective: Objective = self._objective_factory(problem)
-        caps_w = problem.worker_capacities().copy()
-        caps_t = problem.task_capacities().copy()
+        caps_w = problem.worker_capacities()
+        caps_t = problem.task_capacities()
         combined = problem.benefits.combined
-        additive = (
-            isinstance(objective, LinearObjective)
-            and problem.combiner.decomposes_over_edges
-        )
+        additive = problem.combiner.decomposes_over_edges
+        if additive and isinstance(objective, LinearObjective):
+            rows, cols = ranked_edges(combined, caps_w, caps_t, self.min_gain)
+            return self._finish(problem, take_in_order(rows, cols, caps_w, caps_t))
 
         # Seed the heap with singleton surrogate gains; for submodular
         # objectives these upper-bound all later marginals.
-        counter = itertools.count()
-        heap: list[tuple[float, int, int, int]] = []
-        for i in range(problem.n_workers):
-            if caps_w[i] <= 0:
-                continue
-            for j in range(problem.n_tasks):
-                if caps_t[j] <= 0:
-                    continue
-                gain = float(combined[i, j])
-                if gain > self.min_gain:
-                    heapq.heappush(heap, (-gain, next(counter), i, j))
-
+        rows, cols = candidate_edges(combined, caps_w, caps_t, self.min_gain)
+        seeds = zip(combined[rows, cols].tolist(), rows.tolist(), cols.tolist())
+        heap = [(-gain, tie, i, j) for tie, (gain, i, j) in enumerate(seeds)]
+        heapq.heapify(heap)
+        counter = itertools.count(len(heap))
         chosen: list[tuple[int, int]] = []
-        chosen_set: set[tuple[int, int]] = set()
         while heap:
-            neg_gain, _tie, i, j = heapq.heappop(heap)
-            if caps_w[i] <= 0 or caps_t[j] <= 0 or (i, j) in chosen_set:
+            _neg_gain, _tie, i, j = heapq.heappop(heap)
+            if caps_w[i] <= 0 or caps_t[j] <= 0:
                 continue
-            if additive:
-                gain = -neg_gain
-            else:
-                gain = objective.marginal(chosen, (i, j))
-                if gain <= self.min_gain:
-                    continue
-                if heap and -heap[0][0] > gain + 1e-12:
-                    # Something else may now be better; re-queue with
-                    # the fresh key and look again.
-                    heapq.heappush(heap, (-gain, next(counter), i, j))
-                    continue
+            gain = objective.marginal(chosen, (i, j))
+            if gain <= self.min_gain:
+                continue
+            if heap and -heap[0][0] > gain + 1e-12:
+                # Something else may now be better; re-queue with the
+                # fresh key and look again.
+                heapq.heappush(heap, (-gain, next(counter), i, j))
+                continue
             chosen.append((i, j))
-            chosen_set.add((i, j))
             caps_w[i] -= 1
             caps_t[j] -= 1
         return self._finish(problem, chosen)

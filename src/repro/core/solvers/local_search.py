@@ -32,6 +32,7 @@ from repro.core.objective import LinearObjective, Objective
 from repro.core.problem import MBAProblem
 from repro.core.solvers.base import Solver, register_solver
 from repro.core.solvers.greedy import GreedySolver
+from repro.matching.greedy import candidate_edges
 from repro.utils.rng import SeedLike
 from repro.utils.stats import edge_matrix_sum
 
@@ -77,13 +78,7 @@ class LocalSearchSolver(Solver):
         for i, j in edges:
             caps_w[i] -= 1
             caps_t[j] -= 1
-        candidates = [
-            (i, j)
-            for i in range(problem.n_workers)
-            if problem.worker_capacities()[i] > 0
-            for j in range(problem.n_tasks)
-            if problem.task_capacities()[j] > 0
-        ]
+        candidates = _candidates(problem)
         req_sum = edge_matrix_sum(requester, edges)
         wrk_sum = edge_matrix_sum(worker, edges)
         value = total(req_sum, wrk_sum)
@@ -154,13 +149,7 @@ class LocalSearchSolver(Solver):
         for i, j in edges:
             caps_w[i] -= 1
             caps_t[j] -= 1
-        candidates = [
-            (i, j)
-            for i in range(problem.n_workers)
-            if problem.worker_capacities()[i] > 0
-            for j in range(problem.n_tasks)
-            if problem.task_capacities()[j] > 0
-        ]
+        candidates = _candidates(problem)
         value = objective.value(edges)
 
         for _move in range(self.max_moves):
@@ -204,6 +193,17 @@ class LocalSearchSolver(Solver):
             # -inf values the Nash combiner produces on degenerate sets.
             value = objective.value(edges)
         return edges
+
+
+def _candidates(problem: MBAProblem) -> list[tuple[int, int]]:
+    """Every edge whose worker and task have capacity, row-major."""
+    rows, cols = candidate_edges(
+        problem.benefits.combined,
+        problem.worker_capacities(),
+        problem.task_capacities(),
+        floor=-math.inf,
+    )
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def _apply_move(move, edges, caps_w, caps_t):

@@ -18,6 +18,9 @@ solvers are built on:
   array-native successive-shortest-path kernel (the workhorse behind
   the flow-optimal solver), validated against the explicit-network
   reduction to :mod:`mincost_flow` kept in :mod:`reference`;
+* :mod:`greedy` — the greedy walk: take candidate edges in a given
+  order while both ends have capacity (greedy, pruned and random
+  solvers);
 * :mod:`online` — online bipartite matching: two-phase
   sample-and-price, priced by the b-matching kernel (greedy is its
   empty-sample case), and Ranking.
