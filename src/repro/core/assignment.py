@@ -9,6 +9,9 @@ accounting so experiments never recompute totals inconsistently.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
+
+import numpy as np
 
 from repro.core.problem import MBAProblem
 from repro.errors import ValidationError
@@ -76,26 +79,31 @@ class Assignment:
     def __len__(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def edge_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """(requester, worker) benefit of each edge, in ``edges`` order,
+        from :meth:`MBAProblem.edge_benefits`.  The totals below sum
+        them in edge order, as ``BenefitMatrices.side_totals`` does."""
+        rows, cols = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        return self.problem.edge_benefits(rows, cols)
+
     def requester_total(self) -> float:
-        req, _wrk = self.problem.benefits.side_totals(list(self.edges))
-        return req
+        return float(self.edge_values[0].sum())
 
     def worker_total(self) -> float:
-        _req, wrk = self.problem.benefits.side_totals(list(self.edges))
-        return wrk
+        return float(self.edge_values[1].sum())
 
     def combined_total(self) -> float:
         """Value under the problem's combiner (exact, not the surrogate)."""
-        return self.problem.benefits.combined_total(list(self.edges))
+        return self.problem.combiner.total(
+            self.requester_total(), self.worker_total()
+        )
 
     def per_worker_benefit(self) -> dict[int, float]:
         """Worker-side benefit received by each *assigned* worker index."""
-        worker_matrix = self.problem.benefits.worker
         totals: dict[int, float] = {}
-        for worker_index, task_index in self.edges:
-            totals[worker_index] = totals.get(worker_index, 0.0) + float(
-                worker_matrix[worker_index, task_index]
-            )
+        for (i, _j), value in zip(self.edges, self.edge_values[1].tolist()):
+            totals[i] = totals.get(i, 0.0) + value
         return totals
 
     def workers_per_task(self) -> dict[int, list[int]]:

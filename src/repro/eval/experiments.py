@@ -994,7 +994,7 @@ def figure22_normalization(scale: float = 1.0, seed: int = 0) -> Table:
         assignment = get_solver("flow").solve(problem, seed=0)
         # Shares computed on the problem's own (possibly normalized)
         # matrices so both columns are comparable within themselves.
-        req, wrk = problem.benefits.side_totals(list(assignment.edges))
+        req, wrk = assignment.requester_total(), assignment.worker_total()
         denominator = abs(req) + abs(wrk)
         return req / denominator if denominator > 0 else float("nan")
 

@@ -153,6 +153,7 @@ class ResilientSolver(Solver):
         injection uses to simulate an overloaded assignment service.
         """
         policy = self.policy
+        problem.benefits  # a non-finite block raises here, not per attempt
         attempts: list[tuple[str, Exception]] = []
         with Timer() as total:
             outcome = self._run_tiers(

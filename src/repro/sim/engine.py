@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import pickle
@@ -123,12 +124,10 @@ class Simulation:
         # and interest arrays are copied too: the drift model mutates
         # skills in place.
         base = scenario.market
-        workers = [
-            dataclasses.replace(
-                w, skills=w.skills.copy(), interests=w.interests.copy()
-            )
-            for w in base.workers
-        ]
+        workers = [copy.copy(w) for w in base.workers]
+        for w in workers:
+            w.skills = w.skills.copy()
+            w.interests = w.interests.copy()
         retention = (
             dataclasses.replace(scenario.retention, _satisfaction={})
             if scenario.retention is not None
@@ -186,7 +185,7 @@ class Simulation:
 
             # Plan on estimated skills when an estimator is
             # configured; account and realize on the true market
-            # either way.
+            # either way, reading it at the assigned edges only.
             true_problem = MBAProblem(market, combiner=scenario.combiner)
             planning_problem = (
                 MBAProblem(
@@ -234,11 +233,11 @@ class Simulation:
 
             declined = 0
             if scenario.workers_decline:
-                worker_matrix = true_problem.benefits.worker
+                worker = assignment.edge_values[1].tolist()
                 accepted = [
-                    (i, j)
-                    for i, j in assignment.edges
-                    if worker_matrix[i, j] >= 0
+                    edge
+                    for edge, value in zip(assignment.edges, worker)
+                    if value >= 0
                 ]
                 declined = len(assignment.edges) - len(accepted)
                 assignment = Assignment(

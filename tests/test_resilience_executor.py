@@ -201,17 +201,30 @@ class TestResilientSolve:
         assert not report.salvaged
         assert report.tier == 1
 
-    def test_late_result_is_discarded(self, small_problem):
+    def test_late_result_is_discarded(self, small_problem, stub_registration):
+        # The fallback answers at once with one fixed edge, so it beats
+        # the deadline on any host and its edges differ from the slow
+        # primary's greedy result.
+        fixed = [get_solver("greedy").solve(small_problem, seed=0).edges[0]]
+
+        class FixedSolver(Solver):
+            def solve(self, problem, seed=None):
+                return self._finish(problem, fixed)
+
+        stub_registration("fixed-stub", FixedSolver)
         solver = ResilientSolver(
             primary=SlowSolver(),
-            policy=RetryPolicy(max_retries=0, deadline=0.001),
+            policy=RetryPolicy(
+                max_retries=0, deadline=0.001, fallback_chain=("fixed-stub",)
+            ),
         )
-        _assignment, report = solver.solve_resilient(small_problem, seed=0)
+        assignment, report = solver.solve_resilient(small_problem, seed=0)
         # The deadline applies to every tier, so the slow primary is
-        # skipped and whichever fallback beats the clock delivers.
+        # skipped and the fallback that beats the clock delivers.
         assert report.tier >= 1
         assert report.retries >= 1
         assert report.solver_name != "slow-stub"
+        assert list(assignment.edges) == fixed
 
     def test_exhaustion_records_deadline_error(self, small_problem):
         solver = ResilientSolver(
