@@ -39,8 +39,13 @@ class _Selection:
     A single entity is an ``int`` index and, as in NumPy indexing,
     drops its axis: a row or column selection is 1-D along the
     selected side.  When both sides are index arrays the per-pair
-    arrays are gathered in outer (``np.ix_``) form, a 2-D block.
-    Per-pair skills are gathered once and shared by both models.
+    arrays are gathered in outer (``np.ix_``) form, a 2-D block; a
+    ``slice(None)`` on both sides selects the whole market.
+    Per-pair skills are gathered once and shared by both models,
+    except for the whole market: there, as in
+    :class:`~repro.market.market.LaborMarket`, each call gathers its
+    own, so no ``(n_workers, n_tasks)`` gather outlives the model
+    that reads it.
     """
 
     __slots__ = ("_rows", "_workers", "_tasks", "_pairs", "_skills")
@@ -54,16 +59,22 @@ class _Selection:
             self._pairs = np.ix_(workers, categories)
         else:
             self._pairs = (workers, categories)
-        self._skills = rows._skills[self._pairs]
+        self._skills = (
+            None if isinstance(workers, slice) else rows._skills[self._pairs]
+        )
 
     def pair_skills(self) -> np.ndarray:
+        if self._skills is None:
+            return self._rows._skills[self._pairs]
         return self._skills
 
     def pair_interests(self) -> np.ndarray:
         return self._rows._interests[self._pairs]
 
     def accuracy_matrix(self) -> np.ndarray:
-        return accuracy(self._skills, self._rows._difficulties[self._tasks])
+        return accuracy(
+            self.pair_skills(), self._rows._difficulties[self._tasks]
+        )
 
     def task_payments(self) -> np.ndarray:
         return self._rows._payments[self._tasks]
@@ -108,6 +119,11 @@ class RowwiseBenefit:
         self._difficulties = market.task_difficulties()
         self._payments = market.task_payments()
         self._efforts = market.task_efforts()
+
+    def whole(self) -> _Selection:
+        """The arrays of every worker against every task, read from
+        the entity arrays cached at construction."""
+        return _Selection(self, slice(None), slice(None))
 
     def row(
         self,
