@@ -1,9 +1,9 @@
 """Micro-benchmarks of the matching substrate.
 
 Not tied to a paper figure: these time the from-scratch combinatorial
-kernels (Hungarian, auction, min-cost flow, Hopcroft–Karp, deferred
-acceptance) on fixed random instances so substrate regressions show up
-in CI the same way experiment regressions do.
+kernels (auction, b-matching, deferred acceptance) on fixed random
+instances so substrate regressions show up in CI the same way
+experiment regressions do.
 """
 
 import numpy as np
@@ -11,8 +11,6 @@ import pytest
 
 from repro.matching.auction import auction_assignment
 from repro.matching.b_matching import max_weight_b_matching
-from repro.matching.hopcroft_karp import hopcroft_karp
-from repro.matching.hungarian import hungarian
 from repro.matching.stable import deferred_acceptance
 
 SIZE = 80
@@ -22,11 +20,6 @@ SIZE = 80
 def square_weights():
     rng = np.random.default_rng(0)
     return rng.uniform(0.0, 10.0, (SIZE, SIZE))
-
-
-def test_bench_hungarian(benchmark, square_weights):
-    assignment, total = benchmark(hungarian, -square_weights)
-    assert len(assignment) == SIZE
 
 
 def test_bench_auction(benchmark, square_weights):
@@ -40,16 +33,6 @@ def test_bench_b_matching(benchmark, square_weights):
         max_weight_b_matching, square_weights, caps, caps
     )
     assert edges
-
-
-def test_bench_hopcroft_karp(benchmark):
-    rng = np.random.default_rng(1)
-    adjacency = [
-        sorted(rng.choice(SIZE, size=8, replace=False).tolist())
-        for _ in range(SIZE)
-    ]
-    size, _l, _r = benchmark(hopcroft_karp, SIZE, SIZE, adjacency)
-    assert size > SIZE * 0.9
 
 
 def test_bench_deferred_acceptance(benchmark):

@@ -34,7 +34,7 @@ from repro.benefit.mutual import LinearCombiner, MutualCombiner
 from repro.benefit.rows import RowwiseBenefit
 from repro.errors import InfeasibleError, ValidationError
 from repro.market.market import LaborMarket
-from repro.matching.hopcroft_karp import hopcroft_karp
+from repro.matching.b_matching import max_weight_b_matching
 from repro.utils.validation import check_capacities
 
 
@@ -199,37 +199,17 @@ class MBAProblem:
     def max_assignable(self) -> int:
         """Maximum number of (worker, task) pairs any assignment can have.
 
-        Computed by maximum-cardinality matching on the
-        capacity-expanded graph restricted to positive-combined-benefit
-        edges; useful for sanity-checking replication demands.
+        An assignment holds each pair at most once, so this is the size
+        of a maximum b-matching with unit weights on the
+        positive-combined-benefit edges; useful for sanity-checking
+        replication demands.
         """
-        caps_w = self.worker_capacities()
-        caps_t = self.task_capacities()
-        left_slots: list[int] = []
-        for i in range(self.n_workers):
-            left_slots.extend([i] * int(caps_w[i]))
-        right_slots: list[int] = []
-        for j in range(self.n_tasks):
-            right_slots.extend([j] * int(caps_t[j]))
-        if not left_slots or not right_slots:
-            return 0
-        right_of_task: dict[int, list[int]] = {}
-        for slot, j in enumerate(right_slots):
-            right_of_task.setdefault(j, []).append(slot)
-        positive = self.benefits.combined > 0
-        adjacency = [
-            [
-                slot
-                for j in range(self.n_tasks)
-                if positive[i, j]
-                for slot in right_of_task.get(j, [])
-            ]
-            for i in left_slots
-        ]
-        size, _left, _right = hopcroft_karp(
-            len(left_slots), len(right_slots), adjacency
+        edges, _total = max_weight_b_matching(
+            (self.benefits.combined > 0).astype(float),
+            self.worker_capacities(),
+            self.task_capacities(),
         )
-        return size
+        return len(edges)
 
     def require_nonempty_feasible(self) -> None:
         """Raise :class:`InfeasibleError` if no positive edge exists."""

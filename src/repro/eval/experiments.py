@@ -293,14 +293,17 @@ def figure6_lambda(scale: float = 1.0, seed: int = 0) -> Table:
 # F7 / F8 — scalability
 # ---------------------------------------------------------------------------
 
+#: The solvers F7 and F8 time.
+SCALABILITY_SOLVERS = ("flow", "greedy", "online-greedy", "round-robin")
+
+
 def _scalability(
     vary: str, sizes: list[int], fixed: int, seed: int
 ) -> Table:
-    solvers = ("flow", "greedy", "online-greedy", "round-robin")
     table = Table(
         f"Figure {'7' if vary == 'workers' else '8'}: runtime (s) vs "
         f"|{'W' if vary == 'workers' else 'T'}|",
-        [f"n_{vary}"] + list(solvers),
+        [f"n_{vary}"] + list(SCALABILITY_SOLVERS),
         float_format="{:.4f}",
     )
     rngs = spawn_rngs(seed, len(sizes))
@@ -312,7 +315,7 @@ def _scalability(
         )
         problem = MBAProblem(market, combiner=LinearCombiner(0.5))
         row: list[object] = [size]
-        for solver_name in solvers:
+        for solver_name in SCALABILITY_SOLVERS:
             solver = get_solver(solver_name)
             with Timer() as timer:
                 solver.solve(problem, seed=0)

@@ -5,7 +5,7 @@ sweep; a Python-level loop that touches an array element per
 iteration turns an O(n²) numpy reduction into an O(n²) *interpreter*
 loop, which is the difference between milliseconds and minutes at the
 instance sizes Figure 7/8 sweep.  The vectorized rewrites of the
-Hungarian and auction inner loops exist precisely because this
+auction and b-matching inner loops exist precisely because this
 pattern crept in — R601 keeps it from creeping back.
 
 **R601** flags, inside the configured hot packages

@@ -6,10 +6,7 @@ solvers are built on:
 * :mod:`graph` — a residual flow network;
 * :mod:`mincost_flow` — successive-shortest-path min-cost max-flow with
   Johnson potentials on an explicit residual network;
-* :mod:`hungarian` — the O(n³) Hungarian algorithm for square
-  assignment (independent implementation used to cross-validate flow);
-* :mod:`hopcroft_karp` — maximum-cardinality bipartite matching;
-* :mod:`auction` — Bertsekas' ε-scaling auction algorithm (a third
+* :mod:`auction` — Bertsekas' ε-scaling auction algorithm (an
   independent optimum for cross-validation), with sequential
   (Gauss-Seidel) and batched (Jacobi) bidding modes;
 * :mod:`reference` — scalar-loop reference implementations the
@@ -29,24 +26,19 @@ solvers are built on:
 from repro.matching.auction import auction_assignment
 from repro.matching.b_matching import max_weight_b_matching
 from repro.matching.graph import FlowNetwork
-from repro.matching.hopcroft_karp import hopcroft_karp
-from repro.matching.hungarian import hungarian
 from repro.matching.mincost_flow import MinCostFlowResult, min_cost_flow
 from repro.matching.online import (
     online_greedy_matching,
     ranking_matching,
     two_phase_matching,
 )
-from repro.matching.reference import b_matching_reference, hungarian_reference
+from repro.matching.reference import b_matching_reference
 
 __all__ = [
     "FlowNetwork",
     "MinCostFlowResult",
     "auction_assignment",
     "b_matching_reference",
-    "hopcroft_karp",
-    "hungarian",
-    "hungarian_reference",
     "max_weight_b_matching",
     "min_cost_flow",
     "online_greedy_matching",

@@ -34,8 +34,8 @@ naturally instead of stampeding (see the padding comment in
 measurements of both regimes.
 
 Both modes reach the same optimum under the same ε-schedule, so tests
-cross-validate them against each other, the Hungarian algorithm, and
-the min-cost-flow solver on random instances.
+cross-validate them against each other, scipy's assignment optimum,
+and the min-cost-flow solver on random instances.
 """
 
 from __future__ import annotations
@@ -92,9 +92,10 @@ def auction_assignment(
 
     Returns
     -------
-    (assignment, total) as in :func:`repro.matching.hungarian.hungarian`
-    but maximizing; with ``return_state`` a third element carries the
-    final length-``m`` prices.
+    (assignment, total): ``assignment[i]`` is the column row ``i``
+    takes and ``total`` the summed weight of those cells; with
+    ``return_state`` a third element carries the final length-``m``
+    prices.
     """
     weights = check_weights(weights, wide=True)
     if mode not in _MODES:

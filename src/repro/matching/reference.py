@@ -1,26 +1,24 @@
-"""Pure-Python reference implementations of the vectorized solvers.
+"""Pure-Python reference for the exact b-matching kernel.
 
-The hot-path modules (:mod:`repro.matching.hungarian`, the Jacobi mode
-of :mod:`repro.matching.auction`, :mod:`repro.matching.b_matching`) are
-written with numpy masked reductions for speed.  Vectorized code is
+:func:`b_matching_reference` solves the problem of
+:func:`repro.matching.b_matching.max_weight_b_matching` on an explicit
+:class:`~repro.matching.graph.FlowNetwork` with
+:func:`~repro.matching.mincost_flow.min_cost_flow`.  The kernel is
+written with numpy masked reductions for speed, and vectorized code is
 easy to get subtly wrong — an off-by-one in a mask or a tie broken by
 a different index is invisible until an instance hits it — so the
-original loop-shaped code lives on here, unchanged, as the ground
-truth the fast paths are cross-validated against (see
-``tests/test_matching_vectorized.py`` and
-``tests/test_matching_b_matching.py``) and as the readable exposition
-of each algorithm.
+loop-shaped formulation lives on here as the ground truth the kernel
+is cross-validated against (see ``tests/test_matching_b_matching.py``)
+and as the readable exposition of the algorithm.
 
-These functions are *reference* code: clarity beats speed, and the
-per-element Python loops are exempt from lint rule R601 via the
-``perf_loop_allowed`` allowlist (they are the one place such loops are
-the point).  The perf harness (``python -m repro bench``) times them
-against the vectorized implementations to report the speedup.
+This is *reference* code: clarity beats speed, and its per-element
+Python loops are exempt from lint rule R601 via the
+``perf_loop_allowed`` allowlist.  The perf harness
+(``python -m repro bench``) times it against the ``flow`` solver to
+report the speedup.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -28,69 +26,6 @@ from repro.matching.graph import FlowNetwork
 from repro.matching.mincost_flow import min_cost_flow
 from repro.utils.stats import edge_matrix_sum
 from repro.utils.validation import check_capacities, check_weights
-
-
-def hungarian_reference(cost: np.ndarray) -> tuple[list[int], float]:
-    """Scalar-loop Kuhn–Munkres; contract of
-    :func:`repro.matching.hungarian.hungarian`.
-
-    Potentials + shortest-augmenting-path formulation in O(n²·m) for an
-    ``n × m`` cost matrix with ``n <= m``; minimizes and assigns every
-    row.
-    """
-    cost = check_weights(cost, wide=True)
-    n, m = cost.shape
-    if n == 0:
-        return [], 0.0
-
-    inf = math.inf
-    # 1-indexed potentials; p[j] = row matched to column j (0 = free).
-    u = [0.0] * (n + 1)
-    v = [0.0] * (m + 1)
-    p = [0] * (m + 1)
-    way = [0] * (m + 1)
-
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [inf] * (m + 1)
-        used = [False] * (m + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = inf
-            j1 = -1
-            row = cost[i0 - 1]
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-
-    assignment = [-1] * n
-    for j in range(1, m + 1):
-        if p[j] != 0:
-            assignment[p[j] - 1] = j - 1
-    total = float(sum(cost[i, assignment[i]] for i in range(n)))
-    return assignment, total
 
 
 def b_matching_reference(

@@ -1,6 +1,6 @@
 """Benchmark-regression harness: ``python -m repro bench``.
 
-Measures the vectorized hot paths (Hungarian, auction, answer
+Measures the vectorized hot paths (b-matching, auction, answer
 simulation, objective evaluation) against their scalar references and
 against a committed wall-time baseline, emitting a machine-readable
 ``BENCH_<tag>.json``.  See ``docs/performance.md`` for how to run the

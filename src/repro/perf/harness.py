@@ -4,10 +4,11 @@ Three suites mirror the paper's scalability experiments plus a
 micro-level tier:
 
 * ``f7_scale_workers`` — |W| grows with |T| fixed (Figure 7 shape):
-  the Hungarian solve on market-derived benefit matrices, vectorized
-  against :func:`repro.matching.reference.hungarian_reference`, and
-  the end-to-end flow-solver pipeline, cross-checked against
-  :func:`repro.matching.reference.b_matching_reference`.
+  the end-to-end ``flow`` pipeline, the exact solver F7 times, on a
+  quarter-size ladder cross-checked against
+  :func:`repro.matching.reference.b_matching_reference`, on F7's own
+  shapes (|T| = 100), and on the full-size ladder without a
+  reference.
 * ``f8_scale_tasks`` — |T| grows (Figure 8 shape): the auction solve
   in batched Jacobi mode against the sequential Gauss-Seidel mode on
   *specialist* square instances (each bidder strongly prefers its own
@@ -74,8 +75,7 @@ from repro.crowd.answer_model import simulate_answers, simulate_answers_referenc
 from repro.datagen.synthetic import SyntheticConfig, generate_market
 from repro.errors import ValidationError
 from repro.matching.auction import auction_assignment
-from repro.matching.hungarian import hungarian
-from repro.matching.reference import b_matching_reference, hungarian_reference
+from repro.matching.reference import b_matching_reference
 from repro.utils.rng import as_rng
 
 SUITES = (
@@ -89,6 +89,11 @@ SUITES = (
 
 _FULL_SIZES = (200, 400, 800)
 _QUICK_SIZES = (60, 120)
+#: Figure 7's worker ladder at |T| = ``_F7_TASKS``
+#: (:func:`repro.eval.experiments.figure7_scale_workers`).
+_F7_FULL_WORKERS = (100, 200, 400, 800, 1600)
+_F7_QUICK_WORKERS = (100, 400)
+_F7_TASKS = 100
 
 _CHECKSUM_RTOL = 1e-6
 
@@ -229,37 +234,6 @@ def specialist_weights(n: int, seed: int) -> np.ndarray:
     return base + np.eye(n) * rng.uniform(1.0, 2.0, n)
 
 
-def _market_cost(n_workers: int, n_tasks: int, seed: int) -> np.ndarray:
-    """Maximization market benefit as a Hungarian min-cost matrix with
-    rows <= columns."""
-    market = generate_market(
-        SyntheticConfig(n_workers=n_workers, n_tasks=n_tasks), seed=seed
-    )
-    combined = build_benefit_matrices(market, LinearCombiner(0.5)).combined
-    cost = -combined
-    if cost.shape[0] > cost.shape[1]:
-        cost = cost.T
-    return cost
-
-
-def _hungarian_case(size: int, n_tasks: int, suite: str) -> BenchCase:
-    def runner(repeats: int) -> Measurement:
-        cost = _market_cost(size, n_tasks, seed=size)
-        wall, total = _best_of(lambda: hungarian(cost)[1], repeats)
-        ref_wall, ref_total = _best_of(
-            lambda: hungarian_reference(cost)[1], 1
-        )
-        return Measurement(wall, ref_wall, total, ref_total)
-
-    return BenchCase(
-        name=f"hungarian/n={size}",
-        suite=suite,
-        size=size,
-        solver="hungarian",
-        runner=runner,
-    )
-
-
 def _auction_case(size: int, suite: str) -> BenchCase:
     def runner(repeats: int) -> Measurement:
         weights = specialist_weights(size, seed=size)
@@ -288,6 +262,7 @@ def _pipeline_case(
     size: int,
     suite: str,
     reference: Callable[[MBAProblem], float] | None = None,
+    name: str | None = None,
 ) -> BenchCase:
     def runner(repeats: int) -> Measurement:
         market = generate_market(
@@ -306,7 +281,7 @@ def _pipeline_case(
         return Measurement(wall, ref_wall, total, ref_total)
 
     return BenchCase(
-        name=f"{solver_name}/n={size}",
+        name=name or f"{solver_name}/n={size}",
         suite=suite,
         size=size,
         solver=solver_name,
@@ -771,18 +746,16 @@ def build_suites(
         for s in (_QUICK_SIZES if quick else _FULL_SIZES)
     ]
     largest = max(sizes)
-    # Flow cases run on a quarter-size ladder because each is also
-    # timed against ``b_matching_reference``: on a 2-vCPU host that
-    # reference took 0.4 / 1.8 / 7.4 s at |W| = 50 / 100 / 200 and
-    # |T| = 200, against 0.04 / 0.11 / 0.37 s for the flow solver.
-    # At full size the array kernel alone took 1.1 / 6.7 / 42 s
-    # (|W| = 200 / 400 / 800, |T| = 800), about one search per
-    # augmentation over most of the n·m edges, which would dominate
-    # the suite even without the reference.
+    # The reference-checked flow cases run on a quarter-size ladder: on
+    # a 2-vCPU host ``b_matching_reference`` took 0.4 / 1.8 / 7.4 s at
+    # |W| = 50 / 100 / 200 and |T| = 200, against 0.04 / 0.11 / 0.37 s
+    # for the flow solver.  F7's own shapes and the full-size ladder
+    # (|W| = sizes, |T| = the largest) run without a reference.  Their
+    # names carry both dimensions because the baseline is keyed by
+    # name, and ``flow/n=200`` would otherwise name two shapes.
     flow_sizes = [max(10, size // 4) for size in sizes]
     edge_count = 2_500 if quick else 50_000
-    f7 = [_hungarian_case(size, largest, "f7_scale_workers") for size in sizes]
-    f7 += [
+    f7 = [
         _pipeline_case(
             "flow",
             size,
@@ -792,6 +765,23 @@ def build_suites(
             reference=_flow_reference_total,
         )
         for size in flow_sizes
+    ]
+    f7_tasks = max(10, int(round(_F7_TASKS * scale)))
+    shapes = [
+        (max(10, int(round(n * scale))), f7_tasks)
+        for n in (_F7_QUICK_WORKERS if quick else _F7_FULL_WORKERS)
+    ]
+    shapes += [(size, largest) for size in sizes]
+    f7 += [
+        _pipeline_case(
+            "flow",
+            n_workers,
+            n_tasks,
+            n_workers,
+            "f7_scale_workers",
+            name=f"flow/w={n_workers},t={n_tasks}",
+        )
+        for n_workers, n_tasks in shapes
     ]
     f8 = [_auction_case(size, "f8_scale_tasks") for size in sizes]
     f8 += [

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benefit.matrices import BenefitMatrices
 from repro.benefit.mutual import LinearCombiner, NashCombiner
@@ -16,6 +18,7 @@ from repro.market.categories import CategoryTaxonomy
 from repro.market.market import LaborMarket
 from repro.market.task import Task
 from repro.market.worker import Worker
+from tests.lp_oracle import lp_optimum
 
 
 class TestConstruction:
@@ -62,6 +65,54 @@ class TestFeasibility:
             worker.active = False
         problem = MBAProblem(tiny_market)
         assert problem.max_assignable() == 0
+
+    def test_max_assignable_counts_each_pair_once(self):
+        # Three spare slots on each side, but one pair: an assignment
+        # holds it once.
+        market = LaborMarket(
+            [Worker(worker_id=0, skills=np.array([0.9, 0.9]), capacity=3)],
+            [Task(task_id=0, category=0, replication=3)],
+            CategoryTaxonomy.default(2),
+        )
+        problem = MBAProblem(market)
+        assert problem.benefits.combined[0, 0] > 0
+        assert problem.max_assignable() == 1
+        assert len(get_solver("flow").solve(problem)) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_max_assignable_matches_lp_optimum(self, data):
+        """Equals the b-matching LP with unit weights on the positive
+        edges, on small markets whose capacities reach past the other
+        side."""
+        unit = st.floats(0.05, 0.95)
+        workers = [
+            Worker(
+                worker_id=i,
+                skills=np.array([data.draw(unit), data.draw(unit)]),
+                capacity=data.draw(st.integers(0, 4)),
+                reservation_wage=data.draw(st.floats(0.0, 1.5)),
+            )
+            for i in range(data.draw(st.integers(1, 4)))
+        ]
+        tasks = [
+            Task(
+                task_id=j,
+                category=data.draw(st.integers(0, 1)),
+                payment=data.draw(st.floats(0.5, 2.0)),
+                replication=data.draw(st.integers(1, 4)),
+            )
+            for j in range(data.draw(st.integers(1, 4)))
+        ]
+        problem = MBAProblem(
+            LaborMarket(workers, tasks, CategoryTaxonomy.default(2))
+        )
+        optimum = lp_optimum(
+            (problem.benefits.combined > 0).astype(float),
+            problem.worker_capacities(),
+            problem.task_capacities(),
+        )
+        assert problem.max_assignable() == round(optimum)
 
     def test_require_feasible_passes(self, tiny_problem):
         tiny_problem.require_nonempty_feasible()

@@ -26,8 +26,6 @@ from repro.market.market import LaborMarket
 from repro.matching import (
     auction_assignment,
     b_matching_reference,
-    hungarian,
-    hungarian_reference,
     max_weight_b_matching,
 )
 from repro.matching.stable import deferred_acceptance
@@ -39,8 +37,6 @@ ONES = [1, 1]
 KERNELS = {
     "max_weight_b_matching": max_weight_b_matching,
     "b_matching_reference": b_matching_reference,
-    "hungarian": lambda w, rows, cols: hungarian(w),
-    "hungarian_reference": lambda w, rows, cols: hungarian_reference(w),
     "auction_assignment": lambda w, rows, cols: auction_assignment(w),
     "deferred_acceptance": lambda w, rows, cols: deferred_acceptance(
         w, w, rows, cols
@@ -103,8 +99,7 @@ def test_wide_rule_for_assignment_kernels():
         "weights must have n_rows <= n_cols, got 3 x 2; "
         "transpose or pad the matrix"
     )
-    for kernel in ("hungarian", "hungarian_reference", "auction_assignment"):
-        assert _error(kernel, np.ones((3, 2)), None, None) == text
+    assert _error("auction_assignment", np.ones((3, 2)), None, None) == text
 
 
 # -- registry-driven contract ------------------------------------------

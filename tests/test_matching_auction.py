@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.errors import ConvergenceError, ValidationError
 from repro.matching.auction import auction_assignment
-from repro.matching.hungarian import hungarian
 
 
 class TestAuction:
@@ -57,8 +56,9 @@ class TestAuction:
             elements=st.floats(min_value=-10, max_value=10),
         )
     )
-    def test_agrees_with_hungarian(self, weights):
-        """Auction max-weight == Hungarian min-cost on negated matrix."""
+    def test_agrees_with_scipy(self, weights):
+        """Auction max-weight == scipy's assignment optimum."""
+        optimize = pytest.importorskip("scipy.optimize")
         _a_assignment, a_total = auction_assignment(weights)
-        _h_assignment, h_total = hungarian(-weights)
-        assert a_total == pytest.approx(-h_total, abs=1e-5)
+        rows, cols = optimize.linear_sum_assignment(weights, maximize=True)
+        assert a_total == pytest.approx(weights[rows, cols].sum(), abs=1e-5)

@@ -152,6 +152,218 @@ class TestBMatching:
         assert edges == sorted(set(edges))
 
 
+class TestMaxWeightAssignment:
+    """Maximum-weight assignment, where a row may stay unmatched, is
+    the unit-capacity case of ``max_weight_b_matching``.  Each case
+    also solves it with scipy on the matrix padded with one zero
+    column per row, so a row taking a pad stays unmatched."""
+
+    @staticmethod
+    def _solve(weights):
+        optimize = pytest.importorskip("scipy.optimize")
+        n, m = weights.shape
+        edges, total = max_weight_b_matching(
+            weights, np.ones(n, dtype=int), np.ones(m, dtype=int)
+        )
+        padded = np.hstack([weights, np.zeros((n, n))])
+        rows, cols = optimize.linear_sum_assignment(padded, maximize=True)
+        assert total == pytest.approx(padded[rows, cols].sum())
+        return edges, total
+
+    def test_prefers_heavy_edges(self):
+        edges, total = self._solve(np.array([[10.0, 1.0], [1.0, 10.0]]))
+        assert edges == [(0, 0), (1, 1)]
+        assert total == pytest.approx(20.0)
+
+    def test_negative_rows_stay_unassigned(self):
+        edges, total = self._solve(np.array([[-1.0, -2.0], [5.0, 1.0]]))
+        assert edges == [(1, 0)]
+        assert total == pytest.approx(5.0)
+
+    def test_empty_matrix(self):
+        edges, total = self._solve(np.zeros((0, 0)))
+        assert edges == []
+        assert total == 0.0
+
+    def test_more_rows_than_columns(self):
+        edges, total = self._solve(np.array([[3.0], [5.0], [1.0]]))
+        assert edges == [(1, 0)]
+        assert total == pytest.approx(5.0)
+
+
+def _unit_caps(weights):
+    n, m = weights.shape
+    return np.ones(n, dtype=int), np.ones(m, dtype=int)
+
+
+def _brute_force_assignment(weights):
+    """Best total over every partial injective row → column map."""
+    n, m = weights.shape
+    best = 0.0
+    for columns in itertools.product(range(-1, m), repeat=n):
+        taken = [j for j in columns if j >= 0]
+        if len(taken) != len(set(taken)):
+            continue
+        best = max(
+            best, sum(weights[i, j] for i, j in enumerate(columns) if j >= 0)
+        )
+    return best
+
+
+class TestUnitCapacityAssignment:
+    """With unit capacities the kernel is the assignment solver the
+    ``flow`` solver runs: each row and each column at most once."""
+
+    def test_anti_identity(self):
+        weights = np.array([[1.0, 9.0], [9.0, 1.0]])
+        edges, total = max_weight_b_matching(weights, *_unit_caps(weights))
+        assert edges == [(0, 1), (1, 0)]
+        assert total == pytest.approx(18.0)
+
+    def test_single_row_takes_best_column(self):
+        weights = np.array([[5.0, 1.0, 3.0]])
+        edges, total = max_weight_b_matching(weights, *_unit_caps(weights))
+        assert edges == [(0, 0)]
+        assert total == pytest.approx(5.0)
+
+    def test_rows_without_columns(self):
+        weights = np.zeros((3, 0))
+        assert max_weight_b_matching(weights, *_unit_caps(weights)) == (
+            [],
+            0.0,
+        )
+
+    def test_zero_weights_are_not_taken(self):
+        weights = np.zeros((2, 3))
+        edges, total = max_weight_b_matching(weights, *_unit_caps(weights))
+        assert edges == []
+        assert total == 0.0
+
+    def test_mixed_sign_weights(self):
+        weights = np.array([[5.0, -1.0], [-1.0, 5.0]])
+        edges, total = max_weight_b_matching(weights, *_unit_caps(weights))
+        assert edges == [(0, 0), (1, 1)]
+        assert total == pytest.approx(10.0)
+
+    def test_gives_up_a_heavy_edge_for_two_lighter(self):
+        # Both rows prefer column 0; the optimum sends row 0 elsewhere.
+        weights = np.array([[10.0, 9.0], [10.0, 0.0]])
+        edges, total = max_weight_b_matching(weights, *_unit_caps(weights))
+        assert edges == [(0, 1), (1, 0)]
+        assert total == pytest.approx(19.0)
+
+    def test_assignment_is_injective(self):
+        rng = np.random.default_rng(0)
+        weights = rng.uniform(0, 10, (6, 9))
+        edges, _ = max_weight_b_matching(weights, *_unit_caps(weights))
+        rows = [i for i, _ in edges]
+        cols = [j for _, j in edges]
+        assert len(edges) == 6
+        assert len(set(rows)) == len(rows)
+        assert len(set(cols)) == len(cols)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.integers(1, 5).flatmap(
+                lambda m: st.lists(
+                    st.lists(
+                        st.floats(min_value=-20, max_value=20),
+                        min_size=m,
+                        max_size=m,
+                    ),
+                    min_size=n,
+                    max_size=n,
+                )
+            )
+        )
+    )
+    def test_matches_brute_force(self, rows):
+        weights = np.array(rows)
+        _edges, total = max_weight_b_matching(weights, *_unit_caps(weights))
+        assert total == pytest.approx(
+            _brute_force_assignment(weights), abs=1e-7
+        )
+
+
+def _cardinality(n_left, n_right, adjacency):
+    """Maximum matching size of a bipartite graph, computed the way
+    ``MBAProblem.max_assignable`` does: unit weights on the edges."""
+    weights = np.zeros((n_left, n_right))
+    for u, neighbors in enumerate(adjacency):
+        weights[u, neighbors] = 1.0
+    edges, _total = max_weight_b_matching(
+        weights, np.ones(n_left, dtype=int), np.ones(n_right, dtype=int)
+    )
+    return edges
+
+
+class TestMaxCardinality:
+    def test_perfect_matching(self):
+        edges = _cardinality(2, 2, [[0, 1], [0, 1]])
+        assert len(edges) == 2
+        assert sorted(i for i, _ in edges) == [0, 1]
+
+    def test_bottleneck(self):
+        """Both left vertices only reach right vertex 0."""
+        assert len(_cardinality(2, 2, [[0], [0]])) == 1
+
+    def test_empty_graph(self):
+        assert _cardinality(3, 3, [[], [], []]) == []
+
+    def test_augmenting_path_needed(self):
+        """Matching 1-0 first stalls row 0; an augmenting path fixes it."""
+        assert len(_cardinality(2, 2, [[0], [0, 1]])) == 2
+
+    def test_matching_is_consistent(self):
+        edges = _cardinality(3, 3, [[0, 1], [1, 2], [0, 2]])
+        assert len(edges) == 3
+        assert len({i for i, _ in edges}) == 3
+        assert len({j for _, j in edges}) == 3
+        adjacency = [[0, 1], [1, 2], [0, 2]]
+        assert all(j in adjacency[i] for i, j in edges)
+
+    def test_capacities_hold_each_pair_once(self):
+        # Capacity 3 on both sides, one edge: still one pair.
+        edges, _total = max_weight_b_matching(
+            np.ones((1, 1)), np.array([3]), np.array([3])
+        )
+        assert edges == [(0, 0)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_flow_based_count(self, data):
+        """The size equals the max flow of the unit-capacity network."""
+        from repro.matching.graph import FlowNetwork
+        from repro.matching.mincost_flow import min_cost_flow
+
+        n_left = data.draw(st.integers(1, 6))
+        n_right = data.draw(st.integers(1, 6))
+        adjacency = [
+            sorted(
+                data.draw(
+                    st.sets(st.integers(0, n_right - 1), max_size=n_right)
+                )
+            )
+            for _ in range(n_left)
+        ]
+        edges = _cardinality(n_left, n_right, adjacency)
+
+        net = FlowNetwork(n_left + n_right + 2)
+        source, sink = 0, n_left + n_right + 1
+        for u in range(n_left):
+            net.add_edge(source, 1 + u, 1.0)
+        for v in range(n_right):
+            net.add_edge(1 + n_left + v, sink, 1.0)
+        for u, neighbors in enumerate(adjacency):
+            for v in neighbors:
+                net.add_edge(1 + u, 1 + n_left + v, 1.0)
+        assert len(edges) == pytest.approx(
+            min_cost_flow(net, source, sink).flow
+        )
+        assert len({j for _, j in edges}) == len(edges)
+
+
 @st.composite
 def b_matching_instances(draw):
     """Small instances, empty and 1-wide shapes included.  Integer

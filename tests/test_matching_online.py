@@ -130,9 +130,9 @@ class TestRanking:
 
     def test_competitive_on_random_graphs(self):
         """RANKING should match >= (1-1/e) of the offline optimum."""
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        sparse = pytest.importorskip("scipy.sparse")
         rng = np.random.default_rng(0)
-        from repro.matching.hopcroft_karp import hopcroft_karp
-
         ratios = []
         for _ in range(20):
             n = 12
@@ -140,7 +140,17 @@ class TestRanking:
                 sorted(rng.choice(n, size=rng.integers(1, 5), replace=False))
                 for _ in range(n)
             ]
-            optimum, _l, _r = hopcroft_karp(n, n, adjacency)
+            biadjacency = np.zeros((n, n))
+            for u, neighbours in enumerate(adjacency):
+                biadjacency[u, neighbours] = 1.0
+            optimum = int(
+                (
+                    csgraph.maximum_bipartite_matching(
+                        sparse.csr_matrix(biadjacency), perm_type="column"
+                    )
+                    >= 0
+                ).sum()
+            )
             order = list(rng.permutation(n))
             matched = len(
                 ranking_matching(

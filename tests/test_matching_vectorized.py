@@ -1,13 +1,11 @@
 """Cross-validation of the vectorized matching hot paths.
 
-Three independent implementations of the assignment optimum exist —
-the vectorized Hungarian, its scalar reference, and the ε-scaling
-auction (in two bidding modes) — plus min-cost flow one level up.
-These tests drive them over random and degenerate instances and
-require bit-for-bit agreement on the optimal *total* (assignments may
-differ only between algorithms when optima tie; the vectorized
-Hungarian must reproduce the reference's exact assignment because it
-keeps the reference's lowest-index tie-breaks).
+The ε-scaling auction (in two bidding modes), min-cost flow and the
+unit-capacity b-matching kernel all compute an assignment optimum;
+scipy's ``linear_sum_assignment`` is the independent oracle.  These
+tests drive them over random and degenerate instances and require
+agreement on the optimal *total* (assignments may differ when optima
+tie).
 """
 
 import numpy as np
@@ -15,10 +13,9 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.matching.auction import auction_assignment
-from repro.matching.hungarian import hungarian
+from repro.matching.b_matching import max_weight_b_matching
 from repro.matching.mincost_flow import min_cost_flow
 from repro.matching.graph import FlowNetwork
-from repro.matching.reference import hungarian_reference
 from repro.utils.rng import as_rng
 
 
@@ -36,6 +33,22 @@ def _flow_assignment_total(weights: np.ndarray) -> float:
             network.add_edge(i, n + j, 1.0, -float(weights[i, j]))
     result = min_cost_flow(network, source, sink)
     return -result.cost
+
+
+def _scipy_optimum(weights: np.ndarray) -> float:
+    """Max-weight perfect-on-rows assignment total from scipy."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rows, cols = optimize.linear_sum_assignment(weights, maximize=True)
+    return float(weights[rows, cols].sum())
+
+
+def _scipy_padded_optimum(weights: np.ndarray) -> float:
+    """Max-weight assignment total from scipy when a row may stay
+    unmatched: one zero pad column per row stands for "unmatched"."""
+    optimize = pytest.importorskip("scipy.optimize")
+    padded = np.hstack([weights, np.zeros((weights.shape[0],) * 2)])
+    rows, cols = optimize.linear_sum_assignment(padded, maximize=True)
+    return float(padded[rows, cols].sum())
 
 
 def _instances():
@@ -65,18 +78,11 @@ def _instances():
     "weights", [c[1] for c in _instances()], ids=[c[0] for c in _instances()]
 )
 class TestOptimaAgree:
-    def test_hungarian_matches_reference_exactly(self, weights):
-        cost = -weights
-        assignment, total = hungarian(cost)
-        ref_assignment, ref_total = hungarian_reference(cost)
-        assert assignment == ref_assignment
-        assert total == pytest.approx(ref_total, abs=1e-9)
-
-    def test_auction_modes_agree_with_hungarian(self, weights):
-        _, hungarian_total = hungarian(-weights)
+    def test_auction_modes_agree_with_scipy(self, weights):
+        optimum = _scipy_optimum(weights)
         for mode in ("gauss-seidel", "jacobi"):
             assignment, total = auction_assignment(weights, mode=mode)
-            assert total == pytest.approx(-hungarian_total, abs=1e-6)
+            assert total == pytest.approx(optimum, abs=1e-6)
             # A valid perfect matching on the rows.
             assert len(assignment) == weights.shape[0]
             assert len(set(assignment)) == weights.shape[0]
@@ -85,19 +91,32 @@ class TestOptimaAgree:
             )
             assert total == pytest.approx(recomputed, abs=1e-9)
 
+    def test_b_matching_agrees_with_scipy(self, weights):
+        n, m = weights.shape
+        edges, total = max_weight_b_matching(
+            weights, np.ones(n, dtype=int), np.ones(m, dtype=int)
+        )
+        assert total == pytest.approx(
+            _scipy_padded_optimum(weights), abs=1e-9
+        )
+        # Each row and column at most once, positive edges only.
+        assert len({i for i, _ in edges}) == len(edges)
+        assert len({j for _, j in edges}) == len(edges)
+        assert all(weights[i, j] > 0 for i, j in edges)
+        assert total == pytest.approx(
+            sum(weights[i, j] for i, j in edges), abs=1e-9
+        )
+
     def test_flow_agrees(self, weights):
         if weights.size > 80:  # keep the O(n·m) flow builds cheap
             pytest.skip("flow cross-check runs on the small instances")
-        _, hungarian_total = hungarian(-weights)
         assert _flow_assignment_total(weights) == pytest.approx(
-            -hungarian_total, abs=1e-6
+            _scipy_optimum(weights), abs=1e-6
         )
 
 
 class TestDegenerateInstances:
     def test_empty_rows(self):
-        assert hungarian(np.empty((0, 4))) == ([], 0.0)
-        assert hungarian_reference(np.empty((0, 4))) == ([], 0.0)
         for mode in ("gauss-seidel", "jacobi"):
             assert auction_assignment(
                 np.empty((0, 4)), mode=mode
@@ -105,18 +124,12 @@ class TestDegenerateInstances:
 
     def test_more_rows_than_columns_rejected(self):
         bad = np.ones((4, 2))
-        with pytest.raises(ValidationError):
-            hungarian(bad)
-        with pytest.raises(ValidationError):
-            hungarian_reference(bad)
         for mode in ("gauss-seidel", "jacobi"):
             with pytest.raises(ValidationError):
                 auction_assignment(bad, mode=mode)
 
     def test_non_finite_rejected(self):
         bad = np.asarray([[1.0, np.inf]])
-        with pytest.raises(ValidationError):
-            hungarian(bad)
         with pytest.raises(ValidationError):
             auction_assignment(bad)
 

@@ -68,10 +68,10 @@ class TestTracerSpans:
 
     def test_name_usable_as_tag(self):
         tracer = Tracer()
-        with tracer.span("bench.case", name="hungarian/n=10"):
+        with tracer.span("bench.case", name="flow/n=10"):
             pass
         assert tracer.spans[0].name == "bench.case"
-        assert tracer.spans[0].tags == {"name": "hungarian/n=10"}
+        assert tracer.spans[0].tags == {"name": "flow/n=10"}
 
     def test_leaked_span_stays_open(self):
         tracer = Tracer()

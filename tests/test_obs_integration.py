@@ -292,8 +292,8 @@ class TestTraceCli:
 
 
 class TestSolverWorkCounters:
-    """Satellite: flow/b-matching/stable emit work counters mirroring
-    the auction/hungarian instrumentation."""
+    """flow/b-matching/stable emit work counters mirroring the auction
+    instrumentation."""
 
     def test_flow_solver_records_bmatching_counters(self):
         with obs.tracing() as tracer:

@@ -97,8 +97,10 @@ class TestProfileCli:
         self, tmp_path, capsys
     ):
         out_path = tmp_path / "profile.collapsed"
+        # A case of a few ms gets two samples, and the one taken while
+        # the profiler stops can outweigh it; this one gets tens.
         assert main(
-            ["profile", "hungarian/n=60", "--quick",
+            ["profile", "flow/w=120,t=120", "--quick",
              "--output", str(out_path)]
         ) == 0
         assert "wrote profile" in capsys.readouterr().out
@@ -111,7 +113,7 @@ class TestProfileCli:
 
     def test_profile_list_cases(self, capsys):
         assert main(["profile", "--list", "--quick"]) == 0
-        assert "hungarian/n=60" in capsys.readouterr().out
+        assert "flow/n=15" in capsys.readouterr().out
 
     def test_profile_unknown_case_errors(self, capsys):
         assert main(

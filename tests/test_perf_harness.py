@@ -7,6 +7,7 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.errors import ValidationError
+from repro.eval.experiments import SCALABILITY_SOLVERS
 from repro.perf import (
     SUITES,
     BenchResult,
@@ -23,7 +24,7 @@ from repro.perf import (
 from repro.perf.baseline import baseline_time
 
 
-def _result(name="hungarian/n=10", wall=0.5, ref=1.5, checksum=2.0):
+def _result(name="flow/n=10", wall=0.5, ref=1.5, checksum=2.0):
     return BenchResult(
         name=name,
         suite="f7_scale_workers",
@@ -103,6 +104,22 @@ class TestSuites:
         assert max(
             c.size for c in quick["f7_scale_workers"]
         ) < max(c.size for c in full["f7_scale_workers"])
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_case_names_unique_across_suites(self, quick):
+        """The baseline is keyed by case name, so no two cases of a
+        tier may share one."""
+        names = [
+            case.name
+            for cases in build_suites(quick=quick).values()
+            for case in cases
+        ]
+        assert len(names) == len(set(names))
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_f7_cases_run_solvers_f7_runs(self, quick):
+        cases = build_suites(quick=quick)["f7_scale_workers"]
+        assert {case.solver for case in cases} <= set(SCALABILITY_SOLVERS)
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValidationError):
@@ -190,7 +207,7 @@ class TestBaseline:
         save_baseline(results, path, tag="seed")
         baseline = load_baseline(path)
         assert baseline["tag"] == "seed"
-        assert baseline["cases"]["hungarian/n=10"]["wall_time"] == 0.5
+        assert baseline["cases"]["flow/n=10"]["wall_time"] == 0.5
 
     def test_save_merges_with_existing(self, tmp_path):
         path = tmp_path / "baseline.json"
@@ -215,7 +232,7 @@ class TestBaseline:
         baseline = load_baseline(path)
         slow = [_result(wall=0.3)]
         regressions = find_regressions(slow, baseline, threshold=0.5)
-        assert [r.name for r in regressions] == ["hungarian/n=10"]
+        assert [r.name for r in regressions] == ["flow/n=10"]
         assert regressions[0].ratio == pytest.approx(3.0)
 
     def test_within_threshold_passes(self, tmp_path):
@@ -254,7 +271,7 @@ class TestBaselineEdgeCases:
         }
 
     def test_missing_entry_yields_no_baseline_time(self):
-        baseline = self._baseline(**{"hungarian/n=10": 0.5})
+        baseline = self._baseline(**{"flow/n=10": 0.5})
         assert baseline_time(baseline, "auction/n=10") is None
 
     def test_missing_entry_is_never_a_regression(self):
@@ -264,19 +281,19 @@ class TestBaselineEdgeCases:
     def test_zero_baseline_time_skipped_without_dividing(self):
         # A corrupt or hand-edited entry with wall_time 0 must not
         # raise ZeroDivisionError computing the ratio — it is skipped.
-        baseline = self._baseline(**{"hungarian/n=10": 0.0})
+        baseline = self._baseline(**{"flow/n=10": 0.0})
         assert not find_regressions([_result(wall=100.0)], baseline)
 
     def test_negative_baseline_time_skipped(self):
-        baseline = self._baseline(**{"hungarian/n=10": -0.5})
+        baseline = self._baseline(**{"flow/n=10": -0.5})
         assert not find_regressions([_result(wall=100.0)], baseline)
 
     def test_tiny_positive_baseline_still_detects(self):
         # Near-zero but positive entries stay live: the ratio is huge
         # and finite, and the case is correctly flagged.
-        baseline = self._baseline(**{"hungarian/n=10": 1e-12})
+        baseline = self._baseline(**{"flow/n=10": 1e-12})
         regressions = find_regressions([_result(wall=0.5)], baseline)
-        assert [r.name for r in regressions] == ["hungarian/n=10"]
+        assert [r.name for r in regressions] == ["flow/n=10"]
         assert regressions[0].ratio > 1e6
 
     def test_older_schema_version_rejected(self, tmp_path):
@@ -336,7 +353,7 @@ class TestReport:
 
     def test_render_text_mentions_cases(self):
         text = render_text(self._payload())
-        assert "hungarian/n=10" in text
+        assert "flow/n=10" in text
         assert "no baseline found" in text
 
     def test_payload_carries_obs_report(self):

@@ -4,11 +4,13 @@ The library itself depends only on numpy; scipy/networkx are test-only
 dependencies used here as independent oracles for the from-scratch
 substrate:
 
-* Hungarian vs ``scipy.optimize.linear_sum_assignment``;
+* the unit-capacity b-matching kernel vs ``linear_sum_assignment``
+  on the matrix padded with one zero column per row;
 * the ε-scaling auction vs ``linear_sum_assignment(maximize=True)``,
   within the auction's ε-complementary-slackness bound;
 * min-cost flow vs ``networkx.max_flow_min_cost``;
-* Hopcroft–Karp vs ``networkx.algorithms.bipartite.maximum_matching``.
+* the kernel's unit-weight matching size (``MBAProblem.max_assignable``)
+  vs ``networkx.algorithms.bipartite.maximum_matching``.
 """
 
 import numpy as np
@@ -20,31 +22,46 @@ scipy_optimize = pytest.importorskip("scipy.optimize")
 networkx = pytest.importorskip("networkx")
 
 from repro.matching.auction import auction_assignment  # noqa: E402
+from repro.matching.b_matching import max_weight_b_matching  # noqa: E402
 from repro.matching.graph import FlowNetwork  # noqa: E402
-from repro.matching.hopcroft_karp import hopcroft_karp  # noqa: E402
-from repro.matching.hungarian import hungarian  # noqa: E402
 from repro.matching.mincost_flow import min_cost_flow  # noqa: E402
 
 
-class TestHungarianVsScipy:
+def _assignment_total(weights):
+    n, m = weights.shape
+    _edges, total = max_weight_b_matching(
+        weights, np.ones(n, dtype=int), np.ones(m, dtype=int)
+    )
+    return total
+
+
+def _padded_scipy_total(weights):
+    padded = np.hstack([weights, np.zeros((weights.shape[0],) * 2)])
+    rows, cols = scipy_optimize.linear_sum_assignment(padded, maximize=True)
+    return float(padded[rows, cols].sum())
+
+
+class TestBMatchingVsScipy:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 100_000))
     def test_optimal_values_agree(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 9))
-        m = int(rng.integers(n, 10))
-        cost = rng.uniform(-10, 10, (n, m))
-        _ours_assignment, ours_total = hungarian(cost)
-        rows, cols = scipy_optimize.linear_sum_assignment(cost)
-        reference = float(cost[rows, cols].sum())
-        assert ours_total == pytest.approx(reference, abs=1e-8)
+        m = int(rng.integers(1, 10))
+        weights = rng.uniform(-10, 10, (n, m))
+        assert _assignment_total(weights) == pytest.approx(
+            _padded_scipy_total(weights), abs=1e-8
+        )
 
     def test_large_instance(self):
         rng = np.random.default_rng(7)
-        cost = rng.uniform(0, 100, (60, 60))
-        _a, ours = hungarian(cost)
-        rows, cols = scipy_optimize.linear_sum_assignment(cost)
-        assert ours == pytest.approx(float(cost[rows, cols].sum()))
+        weights = rng.uniform(0, 100, (60, 60))
+        rows, cols = scipy_optimize.linear_sum_assignment(
+            weights, maximize=True
+        )
+        assert _assignment_total(weights) == pytest.approx(
+            float(weights[rows, cols].sum())
+        )
 
 
 class TestAuctionVsScipy:
@@ -116,27 +133,26 @@ class TestMinCostFlowVsNetworkx:
         assert result.cost == pytest.approx(reference_cost)
 
 
-class TestHopcroftKarpVsNetworkx:
+class TestMatchingSizeVsNetworkx:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 100_000))
     def test_matching_sizes_agree(self, seed):
         rng = np.random.default_rng(seed)
         n_left = int(rng.integers(1, 8))
         n_right = int(rng.integers(1, 8))
-        adjacency = []
+        adjacent = rng.random((n_left, n_right)) < 0.4
         graph = networkx.Graph()
         graph.add_nodes_from((f"l{u}" for u in range(n_left)), bipartite=0)
         graph.add_nodes_from((f"r{v}" for v in range(n_right)), bipartite=1)
-        for u in range(n_left):
-            neighbors = sorted(
-                int(v) for v in np.nonzero(rng.random(n_right) < 0.4)[0]
-            )
-            adjacency.append(neighbors)
-            for v in neighbors:
-                graph.add_edge(f"l{u}", f"r{v}")
-        ours_size, _l, _r = hopcroft_karp(n_left, n_right, adjacency)
+        for u, v in zip(*np.nonzero(adjacent)):
+            graph.add_edge(f"l{u}", f"r{v}")
+        edges, _total = max_weight_b_matching(
+            adjacent.astype(float),
+            np.ones(n_left, dtype=int),
+            np.ones(n_right, dtype=int),
+        )
         top = {f"l{u}" for u in range(n_left)}
         reference = networkx.algorithms.bipartite.maximum_matching(
             graph, top_nodes=top
         )
-        assert ours_size == len(reference) // 2
+        assert len(edges) == len(reference) // 2
