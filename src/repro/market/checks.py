@@ -21,23 +21,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.utils.validation import check_integers, check_shape
-
-
-def _reject(
-    kind: str,
-    ids: Sequence[int],
-    bad: np.ndarray,
-    message: str,
-    values: np.ndarray | None = None,
-) -> None:
-    """Raise for the first entity flagged in ``bad``; ``message`` is
-    formatted with that entity's entry of ``values`` when given."""
-    if bad.any():
-        i = int(bad.argmax())
-        if values is not None:
-            message = message.format(values[i])
-        raise ValidationError(f"{kind} {ids[i]}: {message}")
+from repro.utils.validation import check_integers, check_shape, reject_first
 
 
 def _outside_unit(values: np.ndarray) -> np.ndarray:
@@ -68,7 +52,7 @@ def column(name: str, values, n: int, *, integer: bool = False) -> np.ndarray:
 
 def check_skills(ids: Sequence[int], skills: np.ndarray) -> None:
     """Row ``i`` of ``skills`` is worker ``ids[i]``'s skill vector."""
-    _reject(
+    reject_first(
         "worker", ids, _outside_unit(skills).any(axis=1),
         "skills must be finite and lie in [0, 1]",
     )
@@ -84,17 +68,17 @@ def check_worker_fields(
     """Entry ``i`` of each column (row ``i`` of the matrices) belongs to
     worker ``ids[i]``."""
     check_skills(ids, skills)
-    _reject(
+    reject_first(
         "worker", ids, _not_whole_at_least(capacities, 0),
         "capacity must be an integer >= 0, got {}", capacities,
     )
-    _reject(
+    reject_first(
         "worker", ids,
         ~(np.isfinite(reservation_wages) & (reservation_wages >= 0)),
         "reservation_wage must be finite and >= 0, got {}",
         reservation_wages,
     )
-    _reject(
+    reject_first(
         "worker", ids, _outside_unit(interests).any(axis=1),
         "interests must be finite and lie in [0, 1]",
     )
@@ -110,23 +94,23 @@ def check_task_fields(
     efforts: np.ndarray,
 ) -> None:
     """Entry ``i`` of each column belongs to task ``ids[i]``."""
-    _reject(
+    reject_first(
         "task", ids, _not_whole_at_least(categories, 0),
         "category must be an integer >= 0, got {}", categories,
     )
-    _reject(
+    reject_first(
         "task", ids, _outside_unit(difficulties),
         "difficulty must lie in [0, 1], got {}", difficulties,
     )
-    _reject(
+    reject_first(
         "task", ids, ~(np.isfinite(payments) & (payments >= 0)),
         "payment must be finite and >= 0, got {}", payments,
     )
-    _reject(
+    reject_first(
         "task", ids, _not_whole_at_least(replications, 1),
         "replication must be an integer >= 1, got {}", replications,
     )
-    _reject(
+    reject_first(
         "task", ids, ~(np.isfinite(efforts) & (efforts > 0)),
         "effort must be finite and > 0, got {}", efforts,
     )
@@ -137,7 +121,7 @@ def check_categories(
     ids: Sequence[int], categories: np.ndarray, n_categories: int
 ) -> None:
     """Every task's category exists in a taxonomy of ``n_categories``."""
-    _reject(
+    reject_first(
         "task", ids, categories >= n_categories,
         f"category {{}} outside taxonomy of size {n_categories}", categories,
     )
@@ -157,7 +141,7 @@ def check_requesters(
         known_ids = np.sort(np.asarray(known, dtype=int))
         slot = np.searchsorted(known_ids, requester_ids)
         found = known_ids[slot.clip(max=known_ids.size - 1)] == requester_ids
-        _reject(
+        reject_first(
             "task", ids, (requester_ids != -1) & ~found,
             "references unknown requester {}", requester_ids,
         )

@@ -26,7 +26,9 @@ from repro.market.checks import (
 from repro.market.requester import Requester
 from repro.market.task import Task
 from repro.market.worker import Worker, accuracy
-from repro.utils.validation import check_integers, check_shape
+from repro.utils.validation import (
+    check_integers, check_shape, check_unique_ids, reject_first,
+)
 
 
 def _python_scalars(values: np.ndarray) -> list:
@@ -162,24 +164,15 @@ class LaborMarket:
 
     def _validate(self) -> None:
         n_cat = len(self.taxonomy)
-        seen_workers: set[int] = set()
-        for worker in self.workers:
-            if worker.skills.size != n_cat:
-                raise ValidationError(
-                    f"worker {worker.worker_id}: skill vector has "
-                    f"{worker.skills.size} entries but taxonomy has {n_cat}"
-                )
-            if worker.worker_id in seen_workers:
-                raise ValidationError(
-                    f"duplicate worker id {worker.worker_id}"
-                )
-            seen_workers.add(worker.worker_id)
-        seen_tasks: set[int] = set()
-        for task in self.tasks:
-            if task.task_id in seen_tasks:
-                raise ValidationError(f"duplicate task id {task.task_id}")
-            seen_tasks.add(task.task_id)
+        worker_ids = [worker.worker_id for worker in self.workers]
+        sizes = np.array([worker.skills.size for worker in self.workers])
+        reject_first(
+            "worker", worker_ids, sizes != n_cat,
+            f"skill vector has {{}} entries but taxonomy has {n_cat}", sizes,
+        )
+        check_unique_ids("worker", worker_ids)
         task_ids = [task.task_id for task in self.tasks]
+        check_unique_ids("task", task_ids)
         check_categories(
             task_ids,
             np.array([task.category for task in self.tasks], dtype=int),

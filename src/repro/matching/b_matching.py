@@ -7,42 +7,40 @@ The problem is the min-cost flow on the standard network:
   most once), cost = −weight[i, j];
 * task ``j`` → sink with capacity = task replication, cost 0.
 
-Augmenting along cheapest paths and stopping at the first path whose
-true cost is non-negative yields the flow of maximum total weight —
-the optimal b-matching for an additive objective.  Edges with
-non-positive weight are never candidates: assigning one can only lower
-the total.
+Edges with non-positive weight are never candidates: assigning one can
+only lower the total.  The kernel keeps the network implicit: forward
+arc costs ``(n, m)`` (``−weight`` on unmatched candidate edges, ``+inf``
+elsewhere), the backward arcs of the matched edges, loads and
+potentials that keep reduced costs non-negative.  The search has two
+forms, chosen by block size:
 
-The kernel keeps that network implicit: forward arc costs ``(n, m)``
-(``−weight`` on unmatched candidate edges, ``+inf`` elsewhere), the
-backward arcs of the matched edges, per-side loads, and worker, task
-and sink potentials that keep reduced costs non-negative.  Both
-searches below start from the same potentials, find the cheapest
-augmenting path from every worker with spare capacity, prune labels at
-or above the cheapest spare-capacity task found so far, move the
-potentials by ``min(dist, D)`` and push the path by walking parent
-pointers.  The search has two forms, chosen by block size:
-
-* **array** (:func:`_augment`, blocks above ``_SMALL_BLOCK`` cells):
-  a multi-source label-correcting search.  The backward arcs are a
-  slot table of width ``max(row_capacities)``, and a relaxation round
-  is one numpy reduction over the rows (workers → tasks) or the slot
-  table (tasks → workers) of the nodes whose labels changed in the
-  previous round.
+* **array** (:func:`_push_units`, blocks above ``_SMALL_BLOCK``
+  cells): each capacity unit of the side with fewer units (capacities
+  capped at the node's candidate edges) is pushed from its own node by
+  one Dijkstra (Ahuja, Magnanti & Orlin, *Network Flows*, §9.7).  A
+  zero-cost "leave unfilled" arc from every pushed node to the sink
+  lets a unit stay unassigned, or give its partner up to a better
+  unit.  Potentials start at ``max(0, best weight)`` on pushed nodes,
+  0 elsewhere.  Settling a pushed node relaxes its row of forward
+  costs in one numpy pass; settling an other-side node relaxes its
+  matched partners and its sink arc.  The search stops at the sink,
+  and only settled nodes move their potentials, by ``dist − D``.
 * **scalar** (:func:`_augment_small`, micro-batch windows and other
-  small blocks): one dense ``O(V²)`` Dijkstra over Python lists, which
-  settles one worker or task per round.  The backward arcs are the
-  workers matched to each task.  At these sizes numpy's per-call
-  overhead costs more than the arithmetic it saves.
+  small blocks): one dense ``O(V²)`` Dijkstra over Python lists from
+  every worker with spare capacity, which settles one worker or task
+  per round, prunes labels at or above the cheapest spare-capacity
+  task found so far and stops at the first path whose true cost is
+  non-negative.
 
-Validation, the candidate mask, the start potentials, the edge output
-and the ``b_matching.*`` work counters are shared.  The
-explicit-network formulation is
-:func:`repro.matching.reference.b_matching_reference`, the test oracle.
+Validation, the candidate mask, the edge output and the
+``b_matching.*`` work counters are shared.  The explicit-network
+formulation is :func:`repro.matching.reference.b_matching_reference`,
+the test oracle.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -51,25 +49,25 @@ from repro import obs
 from repro.utils.stats import edge_matrix_sum
 from repro.utils.validation import check_capacities, check_weights
 
-#: Stop tolerance: augment only while the cheapest path's true cost is
-#: below ``-_EPS`` (the same rule as ``min_cost_flow``).
+#: Stop tolerance of the scalar search: augment only while the
+#: cheapest path's true cost is below ``-_EPS``.
 _EPS = 1e-9
 
-#: Blocks of at most this many cells (``n * m``) take the scalar search
-#: of :func:`_augment_small`, larger ones the array search of
-#: :func:`_augment`.  Measured crossover, median ms per solve on random
+#: Blocks of at most this many cells (``n * m``) take the scalar search,
+#: larger ones the array search.  Median ms per solve on random
 #: ``U(0, 1)`` blocks, worker capacities 1-3, task capacity 1 (2-vCPU
 #: x86-64 host, CPython 3.11, numpy 2.4):
 #:
 #: ======== ===== ===== ===== ===== ===== ===== =======
-#: block     6x6  13x16 16x16 18x18 20x20 32x32 200x200
-#: array    0.87  1.92  1.76  2.19  2.59  4.67    85
-#: scalar   0.27  1.14  1.38  1.97  2.84  10.2  1556
+#: block     6x6   8x8  13x16 16x16 20x20 32x32 200x200
+#: array    0.34  0.41  0.82  0.77  0.63  0.84   6.6
+#: scalar   0.31  0.47  1.71  2.02  2.13  6.97  1625
 #: ======== ===== ===== ===== ===== ===== ===== =======
 #:
-#: The scalar search's cost grows as ``(n + m)^2`` per augmentation, the
-#: array search's per-call overhead stays flat; tall blocks (``n > m``)
-#: cross a little earlier, 32x8 at 0.90 against 0.99.
+#: The array search wins from about 8x8, but ``stream_monitored``'s
+#: windows (at most 143 cells) run faster on the scalar one, 0.08 s
+#: against 0.11 s over the 255 windows at seed 0, and the pinned
+#: micro-batch stream digests are recorded on it.
 _SMALL_BLOCK = 256
 
 
@@ -109,15 +107,14 @@ def max_weight_b_matching(
     augmentations = rounds = 0
     if n_candidates:
         forward = np.where(candidate, -weights, np.inf)
-        # Potentials start at the Bellman-Ford distances of the empty
-        # flow (an acyclic network): 0 for workers, each task's
-        # cheapest forward arc, and the cheapest task for the sink.
-        column_best = forward.min(axis=0)
-        task_pot = np.where(np.isfinite(column_best), column_best, 0.0)
-        search = _augment_small if n * m <= _SMALL_BLOCK else _augment
-        forward, augmentations, rounds = search(
-            weights, forward, task_pot, row_capacities, col_capacities
-        )
+        if n * m <= _SMALL_BLOCK:
+            forward, augmentations, rounds = _augment_small(
+                weights, forward, row_capacities, col_capacities
+            )
+        else:
+            forward, augmentations, rounds = _push_units(
+                forward, row_capacities, col_capacities
+            )
         # A candidate edge's forward arc is +inf exactly while it is
         # matched; nonzero lists them in (row, col) order.
         rows, cols = np.nonzero(candidate & np.isinf(forward))
@@ -131,124 +128,139 @@ def max_weight_b_matching(
     return edges, edge_matrix_sum(weights, edges)
 
 
-def _augment(
-    weights: np.ndarray,
+def _push_units(
     forward: np.ndarray,
-    task_pot: np.ndarray,
     row_capacities: np.ndarray,
     col_capacities: np.ndarray,
 ) -> tuple[np.ndarray, int, int]:
-    """Successive shortest paths by array reductions; updates the
-    forward arc costs in place and returns them, the augmentation count
-    and the number of relaxation rounds."""
-    n, m = weights.shape
-    width = int(min(row_capacities.max(), m))
-    slot_task = np.full((n, width), m)
-    slot_weight = np.zeros((n, width))
-    row_load = np.zeros(n, dtype=int)
-    col_load = np.zeros(m, dtype=int)
-    # Index m of the task arrays is the empty slot's dummy task: its
-    # label stays +inf, so it never relaxes.
-    worker_pot = np.zeros(n)
-    task_pot = np.append(task_pot, 0.0)
-    sink_pot = task_pot[:m].min()
-    all_rows = np.arange(n)
+    """Successive shortest paths, one Dijkstra per capacity unit of the
+    side with fewer units; updates the forward arc costs in place and
+    returns them, the count of pushes that matched one more edge and
+    the number of settled nodes."""
+    candidate = np.isfinite(forward)
+    row_units = np.minimum(row_capacities, candidate.sum(axis=1))
+    col_units = np.minimum(col_capacities, candidate.sum(axis=0))
+    # Rows of ``cost`` are the pushed nodes, columns the other side.
+    if row_units.sum() < col_units.sum():
+        cost, units, spare = forward, row_units, col_capacities.tolist()
+    else:
+        cost = np.ascontiguousarray(forward.T)
+        units, spare = col_units, row_capacities.tolist()
+    n_other = cost.shape[1]
+    inf = math.inf
+    push_pot = np.maximum(-cost.min(axis=1), 0.0).tolist()
+    other_pot = np.zeros(n_other)
+    # ``other_pot`` with the nodes settled in the current search at
+    # -inf, so that no relaxation reaches them again.
+    open_pot = other_pot.copy()
+    # The backward arcs: the pushed nodes matched to each other-side
+    # node, with the edge weight.
+    partners: list[dict[int, float]] = [{} for _ in range(n_other)]
     augmentations = rounds = 0
-    while True:
-        # Reduced costs of the source → worker and task → sink arcs.
-        worker_dist = np.where(
-            row_load < row_capacities, np.maximum(-worker_pot, 0.0), np.inf
-        )
-        exit_cost = np.where(
-            col_load < col_capacities,
-            np.maximum(task_pot[:m] - sink_pot, 0.0),
-            np.inf,
-        )
-        # Backward (matched task → worker) reduced costs are fixed for
-        # the whole search; only the task labels added to them change.
-        back_cost = slot_weight + task_pot[slot_task]
-        back_cost -= worker_pot[:, None]
-        np.maximum(back_cost, 0.0, out=back_cost)
-        task_dist = np.full(m + 1, np.inf)
-        worker_parent = np.full(n, -1)
-        task_parent = np.full(m, -1)
-        best, best_task = np.inf, -1
-        rows = np.flatnonzero(np.isfinite(worker_dist))
-        while rows.size:
-            rounds += 1
-            reduced = forward[rows] + worker_pot[rows, None]
-            reduced -= task_pot[:m]
-            np.maximum(reduced, 0.0, out=reduced)
-            reduced += worker_dist[rows, None]
-            label = reduced.min(axis=0)
-            cols = np.flatnonzero((label < task_dist[:m]) & (label < best))
-            if not cols.size:
-                break
-            task_dist[cols] = label[cols]
-            task_parent[cols] = rows[reduced[:, cols].argmin(axis=0)]
-            through = task_dist[cols] + exit_cost[cols]
-            k = through.argmin()
-            if through[k] < best:
-                best, best_task = through[k], cols[k]
-            cols = cols[task_dist[cols] < best]
-            changed = np.full(m + 1, np.inf)
-            changed[cols] = task_dist[cols]
-            reduced = back_cost + changed[slot_task]
-            arg = reduced.argmin(axis=1)
-            label = reduced[all_rows, arg]
-            rows = np.flatnonzero((label < worker_dist) & (label < best))
-            worker_dist[rows] = label[rows]
-            worker_parent[rows] = slot_task[rows, arg[rows]]
-        # The path's true cost is its reduced length plus the sink's
-        # potential (the source's stays 0).
-        if best_task < 0 or best + sink_pot >= -_EPS:
-            return forward, augmentations, rounds
-        worker_pot += np.minimum(worker_dist, best)
-        task_pot += np.minimum(task_dist, best)
-        sink_pot += best
-        task = best_task
-        col_load[task] += 1
-        while True:
-            worker = task_parent[task]
-            forward[worker, task] = np.inf
-            released = worker_parent[worker]
-            # The new task takes the slot of the one released (or a
-            # free slot at the path's first worker).
-            slot = np.flatnonzero(
-                slot_task[worker] == (m if released < 0 else released)
-            )[0]
-            slot_task[worker, slot] = task
-            slot_weight[worker, slot] = weights[worker, task]
-            if released < 0:
-                row_load[worker] += 1
-                break
-            forward[worker, released] = -weights[worker, released]
-            task = released
-        augmentations += 1
+    for source, count in enumerate(units.tolist()):
+        for _ in range(count):
+            label = np.full(n_other, inf)
+            heap = [(0.0, source)]
+            push_label = {source: 0.0}
+            push_parent: dict[int, int] = {}
+            # Settled pushed nodes in order with ``dist + potential``;
+            # settled other-side nodes: distance, pushed nodes before.
+            order: list[int] = []
+            bases: list[float] = []
+            settled: dict[int, tuple[float, int]] = {}
+            best, end = inf, -1
+            while True:
+                node = int(label.argmin())
+                dist = float(label[node])
+                if heap and heap[0][0] < dist:
+                    dist, node = heapq.heappop(heap)
+                    if dist >= best:
+                        break
+                    if push_label[node] < dist:
+                        continue
+                    push_label[node] = -inf
+                    rounds += 1
+                    base = dist + push_pot[node]
+                    order.append(node)
+                    bases.append(base)
+                    # The "leave unfilled" arc to the sink.
+                    if base < best:
+                        best, end = base, node
+                    reached = cost[node] - open_pot
+                    reached += base
+                    np.minimum(label, reached, out=label)
+                    continue
+                if dist >= best:
+                    break
+                rounds += 1
+                label[node] = inf
+                open_pot[node] = -inf
+                settled[node] = dist, len(order)
+                pot = float(other_pot[node])
+                if spare[node]:
+                    through = dist + pot
+                    if through < best:
+                        best, end = through, ~node
+                for held, weight in partners[node].items():
+                    reached = dist + weight + pot - push_pot[held]
+                    if reached < push_label.get(held, inf):
+                        push_label[held] = reached
+                        push_parent[held] = node
+                        heapq.heappush(heap, (reached, held))
+            # Walk the path back from its last node.  An other-side
+            # node's parent is the first pushed node settled before it
+            # whose relaxation gave its label; recomputing it from the
+            # unchanged costs and potentials spares a parent array.
+            node = ~end
+            if end < 0:
+                spare[node] -= 1
+                augmentations += 1
+            elif end != source:
+                node = push_parent[end]
+                cost[end, node] = -partners[node].pop(end)
+            while end != source:
+                k = settled[node][1]
+                reached = cost[order[:k], node] - other_pot[node] + bases[:k]
+                held = order[int(reached.argmin())]
+                partners[node][held] = -cost[held, node]
+                cost[held, node] = inf
+                if held == source:
+                    break
+                node = push_parent[held]
+                cost[held, node] = -partners[node].pop(held)
+            # Settled nodes move by ``dist - best``, so the sink's
+            # potential stays 0.
+            for held, base in zip(order, bases):
+                push_pot[held] = base - best
+            nodes = list(settled)
+            other_pot[nodes] += [dist - best for dist, _ in settled.values()]
+            open_pot[nodes] = other_pot[nodes]
+    return (cost if cost is forward else cost.T), augmentations, rounds
 
 
 def _augment_small(
     weights: np.ndarray,
     forward: np.ndarray,
-    task_pot: np.ndarray,
     row_capacities: np.ndarray,
     col_capacities: np.ndarray,
 ) -> tuple[list[list[float]], int, int]:
-    """The search of :func:`_augment` over Python lists, for blocks
-    where numpy's per-call overhead outweighs its arithmetic.
+    """Successive shortest paths from every worker with spare capacity
+    over Python lists, for small blocks.
 
     Each augmentation is one dense Dijkstra: a round settles the
-    cheapest unsettled worker or task and relaxes its arcs.  Labels,
-    pruning, potential update and push follow :func:`_augment` term
-    for term, so without ties both searches find the same paths.
-    Returns the forward arc costs as nested lists, the augmentation
-    count and the number of settled nodes."""
+    cheapest unsettled worker or task and relaxes its arcs.  Without
+    ties it finds the same optimum as :func:`_push_units`.  Returns the
+    forward arc costs as nested lists, the augmentation count and the
+    number of settled nodes."""
     n, m = weights.shape
     inf = math.inf
     gain = weights.tolist()
     cost = forward.tolist()
     columns = [[j for j, arc in enumerate(row) if arc < inf] for row in cost]
-    task_pot = task_pot.tolist()
+    # Potentials start at the Bellman-Ford distances of the empty flow
+    # (an acyclic network): 0 for workers, each task's cheapest forward
+    # arc, and the cheapest task for the sink.
+    task_pot = [min(0.0, arc) for arc in forward.min(axis=0).tolist()]
     sink_pot = min(task_pot)
     worker_pot = [0.0] * n
     row_spare = row_capacities.tolist()

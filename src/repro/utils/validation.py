@@ -6,7 +6,9 @@ instead of deep inside a solver.
 
 The array rules of the assignment problem live here, each written
 once: a weight matrix (:func:`check_weights`), a capacity vector
-(:func:`check_capacities`) and a start vector (:func:`check_start`).
+(:func:`check_capacities`) and a start vector (:func:`check_start`);
+the column checks that name the first offending entity by its id
+(:func:`reject_first`, :func:`check_unique_ids`).
 :class:`~repro.benefit.matrices.BenefitMatrices`,
 :meth:`MBAProblem.from_benefits
 <repro.core.problem.MBAProblem.from_benefits>` and every public
@@ -16,6 +18,8 @@ enters.  The entity checks of :mod:`repro.market.checks` share
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -69,6 +73,34 @@ def check_integers(**columns: np.ndarray) -> None:
     for name, values in columns.items():
         if values.size and values.dtype.kind not in "iu":
             raise ValidationError(f"{name} must be integers, got {values.dtype}")
+
+
+def reject_first(
+    kind: str,
+    ids: Sequence,
+    bad: np.ndarray,
+    message: str,
+    values: np.ndarray | None = None,
+) -> None:
+    """Raise for the first entity flagged in ``bad``, named by its id;
+    ``message`` is formatted with that entity's entry of ``values``
+    when given."""
+    if bad.any():
+        i = int(bad.argmax())
+        if values is not None:
+            message = message.format(values[i])
+        raise ValidationError(f"{kind} {ids[i]}: {message}")
+
+
+def check_unique_ids(kind: str, ids: Sequence) -> None:
+    """No id repeats; a failure names the first entry whose id an
+    earlier entry already holds."""
+    ids = np.asarray(ids)
+    order = np.argsort(ids, kind="stable")
+    repeat = np.zeros(ids.size, dtype=bool)
+    repeat[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+    if repeat.any():
+        raise ValidationError(f"duplicate {kind} id {ids[repeat.argmax()]}")
 
 
 def check_same_shape(what: str, *arrays: np.ndarray) -> None:

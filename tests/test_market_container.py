@@ -46,6 +46,26 @@ class TestValidation:
                 taxonomy,
             )
 
+    def test_skill_length_names_first_offending_worker(self, taxonomy):
+        workers = [_worker(i, [0.5] * 3) for i in range(4)]
+        workers[2] = _worker(2, [0.5] * 2)
+        workers[3] = _worker(3, [0.5])
+        with pytest.raises(
+            ValidationError,
+            match=r"^worker 2: skill vector has 2 entries but taxonomy has 3$",
+        ):
+            LaborMarket(workers, [Task(task_id=0, category=0)], taxonomy)
+
+    def test_duplicate_worker_names_first_repeat(self, taxonomy):
+        workers = [_worker(i, [0.5] * 3) for i in (7, 5, 9, 5, 7)]
+        with pytest.raises(ValidationError, match=r"^duplicate worker id 5$"):
+            LaborMarket(workers, [Task(task_id=0, category=0)], taxonomy)
+
+    def test_duplicate_task_names_first_repeat(self, taxonomy):
+        tasks = [Task(task_id=i, category=0) for i in (4, 8, 1, 8, 4)]
+        with pytest.raises(ValidationError, match=r"^duplicate task id 8$"):
+            LaborMarket([_worker(0, [0.5] * 3)], tasks, taxonomy)
+
     def test_unknown_requester(self, taxonomy):
         with pytest.raises(ValidationError, match="requester"):
             LaborMarket(

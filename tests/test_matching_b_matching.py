@@ -22,7 +22,7 @@ from repro.matching.auction import auction_assignment
 from repro.matching.b_matching import max_weight_b_matching
 from repro.matching.reference import b_matching_reference
 from repro.perf.harness import build_stream_suite
-from repro.spec import compile_stream
+from repro.spec import compile_spec, compile_stream
 from repro.stream import StreamDispatcher
 from tests.lp_oracle import lp_optimum
 
@@ -389,21 +389,39 @@ def b_matching_instances(draw):
     return weights, row_caps, col_caps
 
 
-@st.composite
-def block_instances(draw):
-    """Blocks on both sides of the size rule's constant (up to 24 x 24
-    cells), ``n > m`` included.  Row capacities reach past ``m``, both
-    sides draw zero capacities, and integer weights force ties."""
-    n = draw(st.integers(1, 24))
-    m = draw(st.integers(1, 24))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+def _pushes_rows(weights, row_caps, col_caps):
+    """Whether the array search pushes the rows: their capacity units
+    (capacity capped at the node's candidate edges) total less than
+    the columns'."""
+    candidate = (
+        (weights > 0) & (row_caps[:, None] > 0) & (col_caps[None, :] > 0)
+    )
+    row_units = np.minimum(row_caps, candidate.sum(axis=1)).sum()
+    return row_units < np.minimum(col_caps, candidate.sum(axis=0)).sum()
+
+
+def _block(rng, n, m, integer, scarce_rows):
+    """A random block: the scarce side draws capacities 0-3, the other
+    side capacities up to 2 past the scarce side's node count."""
+    if integer:
         weights = rng.integers(-3, 7, (n, m)).astype(float)
     else:
         weights = rng.uniform(-0.5, 1.0, (n, m))
-    row_caps = rng.integers(0, m + 3, n)
-    col_caps = rng.integers(0, 4, m)
-    return weights, row_caps, col_caps
+    if scarce_rows:
+        return weights, rng.integers(0, 4, n), rng.integers(0, n + 3, m)
+    return weights, rng.integers(0, m + 3, n), rng.integers(0, 4, m)
+
+
+@st.composite
+def block_instances(draw):
+    """Blocks on both sides of the size rule's constant (up to 24 x 24
+    cells), ``n > m`` included.  Either side may be the scarce one, so
+    the array search pushes rows on some draws and columns on others;
+    both sides draw zero capacities, and integer weights force ties."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _block(rng, n, m, draw(st.booleans()), draw(st.booleans()))
 
 
 #: The kernel's two private searches, each forced by moving the size
@@ -484,13 +502,18 @@ class TestAgainstOracles:
             assert abs(total - optimum) <= 1e-9 * _scale(weights)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_saturated_market_matches_reference_and_lp(self, seed):
-        """Mid-size instances where most tasks fill up, so augmenting
-        paths run through many matched edges."""
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_saturated_market_matches_reference_and_lp(self, seed, sparse):
+        """Mid-size instances where most nodes fill up, so paths run
+        through many matched edges.  With ``sparse`` each node keeps a
+        fifth of its edges, so the nodes a pushed unit reaches fill
+        while units are left, and a unit often ends on the "leave
+        unfilled" arc of a node that gave its partner up."""
         rng = np.random.default_rng(seed)
         n, m = rng.integers(5, 41, 2)
         weights = rng.uniform(-0.2, 1.0, (n, m))
+        if sparse:
+            weights[rng.random((n, m)) < 0.8] = -1.0
         row_caps = rng.integers(0, 5, n)
         col_caps = rng.integers(0, 5, m)
         _ref_edges, ref_total = b_matching_reference(
@@ -500,6 +523,40 @@ class TestAgainstOracles:
         for total in _solve_both(weights, row_caps, col_caps):
             assert abs(total - ref_total) <= 1e-9 * _scale(weights)
             assert abs(total - optimum) <= 1e-9 * _scale(weights)
+
+    def test_tied_batch_block_matches_lp(self):
+        """Round 0 of the quickstart market at seed 2 (``batch_exact``'s
+        third instance at seed 0) has two optima of equal total:
+        {(84, 1), (189, 73), (151, 31)} against {(84, 31), (151, 73),
+        (189, 1)}, with the rest of the edges shared."""
+        compiled = compile_spec(
+            {
+                "schema": "repro-spec/1",
+                "market": {
+                    "workload": "amt-like", "workers": 200, "tasks": 100,
+                    "seed": 2,
+                },
+                "scenario": {"solver": "flow", "lam": 0.5, "n_rounds": 1},
+            }
+        )
+        problem = MBAProblem(compiled.market, combiner=compiled.combiner)
+        weights = problem.benefits.combined
+        row_caps = problem.worker_capacities()
+        col_caps = problem.task_capacities()
+        one = [(84, 1), (189, 73), (151, 31)]
+        other = [(84, 31), (151, 73), (189, 1)]
+        assert math.fsum(weights[e] for e in one) == math.fsum(
+            weights[e] for e in other
+        )
+        optimum = lp_optimum(weights, row_caps, col_caps)
+        for name in SEARCHES:
+            with _search(name):
+                edges, total = max_weight_b_matching(
+                    weights, row_caps, col_caps
+                )
+            _assert_feasible(edges, total, weights, row_caps, col_caps)
+            assert abs(total - optimum) <= 1e-9 * _scale(weights)
+            assert set(one) <= set(edges) or set(other) <= set(edges)
 
 
 def _counters(search, weights, row_caps, col_caps):
@@ -512,19 +569,43 @@ def _counters(search, weights, row_caps, col_caps):
     }
 
 
+def _spy(search):
+    """Patch one search with a mock that runs it and counts calls."""
+    return mock.patch.object(
+        b_matching, search, wraps=getattr(b_matching, search)
+    )
+
+
 class TestSearchForms:
-    """The size rule: which search runs, and that both report the same
-    work."""
+    """The size rule: which search runs, and what both report."""
 
     @settings(max_examples=80, deadline=None)
     @given(instance=block_instances())
     def test_both_searches_report_the_same_work(self, instance):
+        """The two searches are different exact algorithms: where
+        integer weights tie, they may return optima with different
+        edge counts.  Continuous weights have one optimum, so there
+        the counts agree too."""
+        weights = instance[0]
         array = _counters("array", *instance)
         scalar = _counters("scalar", *instance)
-        for name in ("augmentations", "candidate_edges", "matched_edges"):
-            assert array[name] == scalar[name], name
+        assert array["candidate_edges"] == scalar["candidate_edges"]
+        if np.any(weights != np.round(weights)):
+            for name in ("augmentations", "matched_edges"):
+                assert array[name] == scalar[name], name
         for counters in (array, scalar):
             assert counters["search_rounds"] >= counters["augmentations"]
+            assert counters["augmentations"] == counters["matched_edges"]
+
+    def test_block_draws_push_either_side(self):
+        """``block_instances`` reaches both orientations of the array
+        search."""
+        rng = np.random.default_rng(0)
+        pushed = {
+            _pushes_rows(*_block(rng, 20, 20, False, scarce_rows))
+            for scarce_rows in (True, False)
+        }
+        assert pushed == {True, False}
 
     def test_micro_batch_windows_take_the_scalar_search(self):
         compiled = compile_stream(
@@ -547,9 +628,10 @@ class TestSearchForms:
         )
         refuse = AssertionError("a window took the array search")
         with obs.tracing() as tracer, mock.patch.object(
-            b_matching, "_augment", side_effect=refuse
-        ):
+            b_matching, "_push_units", side_effect=refuse
+        ), _spy("_augment_small") as search:
             dispatcher.run(seed=0)
+        assert search.call_count > 0
         counters = tracer.metrics.counters
         assert counters["stream.windows"] > 100
         assert counters["b_matching.augmentations"] > 0
@@ -564,9 +646,10 @@ class TestSearchForms:
         assert [case.name for case in quick] == [case.name for case in full]
         refuse = AssertionError("a bench window took the array search")
         with obs.tracing() as tracer, mock.patch.object(
-            b_matching, "_augment", side_effect=refuse
-        ):
+            b_matching, "_push_units", side_effect=refuse
+        ), _spy("_augment_small") as search:
             quick[0].runner(1)
+        assert search.call_count > 0
         assert tracer.metrics.counters["b_matching.augmentations"] > 0
 
     def test_large_flow_solve_takes_the_array_search(self):
@@ -576,8 +659,9 @@ class TestSearchForms:
         refuse = AssertionError("a 200x100 solve took the scalar search")
         with mock.patch.object(
             b_matching, "_augment_small", side_effect=refuse
-        ):
+        ), _spy("_push_units") as search:
             assignment = get_solver("flow").solve(MBAProblem(market), seed=0)
+        assert search.call_count == 1
         assert len(assignment.edges) > 0
 
 

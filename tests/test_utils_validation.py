@@ -6,9 +6,11 @@ import pytest
 from repro.errors import ValidationError
 from repro.utils.validation import (
     check_fraction,
+    check_unique_ids,
     check_nonnegative,
     check_positive,
     check_probability_matrix,
+    reject_first,
 )
 
 
@@ -66,3 +68,24 @@ class TestCheckProbabilityMatrix:
     def test_rejects_1d(self):
         with pytest.raises(ValidationError, match="2-D"):
             check_probability_matrix("m", np.array([0.5, 0.5]))
+
+
+class TestColumnChecks:
+    def test_reject_first_names_the_first_flagged_id(self):
+        with pytest.raises(ValidationError, match=r"^task 30: bad 2$"):
+            reject_first(
+                "task", [10, 20, 30, 40], np.array([False, False, True, True]),
+                "bad {}", np.array([0, 1, 2, 3]),
+            )
+
+    def test_reject_first_passes_when_nothing_is_flagged(self):
+        reject_first("task", [1, 2], np.zeros(2, dtype=bool), "bad")
+
+    def test_unique_ids_names_the_first_repeat(self):
+        # Entry 3 repeats id 1 before entry 4 repeats id 3.
+        with pytest.raises(ValidationError, match=r"^duplicate worker id 1$"):
+            check_unique_ids("worker", [3, 1, 2, 1, 3, 3])
+
+    @pytest.mark.parametrize("ids", [[], [0], [2, 0, 1]])
+    def test_unique_ids_accept(self, ids):
+        check_unique_ids("worker", ids)
