@@ -11,26 +11,23 @@ Edges with non-positive weight are never candidates: assigning one can
 only lower the total.  The kernel keeps the network implicit: forward
 arc costs ``(n, m)`` (``−weight`` on unmatched candidate edges, ``+inf``
 elsewhere), the backward arcs of the matched edges, loads and
-potentials that keep reduced costs non-negative.  The search has two
-forms, chosen by block size:
+potentials that keep reduced costs non-negative.
 
-* **array** (:func:`_push_units`, blocks above ``_SMALL_BLOCK``
-  cells): each capacity unit of the side with fewer units (capacities
-  capped at the node's candidate edges) is pushed from its own node by
-  one Dijkstra (Ahuja, Magnanti & Orlin, *Network Flows*, §9.7).  A
-  zero-cost "leave unfilled" arc from every pushed node to the sink
-  lets a unit stay unassigned, or give its partner up to a better
-  unit.  Potentials start at ``max(0, best weight)`` on pushed nodes,
-  0 elsewhere.  Settling a pushed node relaxes its row of forward
-  costs in one numpy pass; settling an other-side node relaxes its
-  matched partners and its sink arc.  The search stops at the sink,
-  and only settled nodes move their potentials, by ``dist − D``.
-* **scalar** (:func:`_augment_small`, micro-batch windows and other
-  small blocks): one dense ``O(V²)`` Dijkstra over Python lists from
-  every worker with spare capacity, which settles one worker or task
-  per round, prunes labels at or above the cheapest spare-capacity
-  task found so far and stops at the first path whose true cost is
-  non-negative.
+The search is generic successive shortest paths (Ahuja, Magnanti &
+Orlin, *Network Flows*, §9.7): each capacity unit of the side with
+fewer units (capacities capped at the node's candidate edges) is
+pushed from its own node by one Dijkstra.  A zero-cost "leave
+unfilled" arc from every pushed node to the sink lets a unit stay
+unassigned, or give its partner up to a better unit.  Potentials start
+at ``max(0, best weight)`` on pushed nodes, 0 elsewhere.  Settling a
+pushed node relaxes its row of forward costs; settling an other-side
+node relaxes its matched partners and its sink arc.  The search stops
+at the sink, and only settled nodes move their potentials, by
+``dist − D``.  It has two data layouts, chosen by block size, that
+return the same edges and counts: numpy rows
+(:func:`_push_units`, blocks above ``_SMALL_BLOCK`` cells) and Python
+lists (:func:`_push_lists`, micro-batch windows and other small
+blocks).
 
 Validation, the candidate mask, the edge output and the
 ``b_matching.*`` work counters are shared.  The explicit-network
@@ -49,26 +46,21 @@ from repro import obs
 from repro.utils.stats import edge_matrix_sum
 from repro.utils.validation import check_capacities, check_weights
 
-#: Stop tolerance of the scalar search: augment only while the
-#: cheapest path's true cost is below ``-_EPS``.
-_EPS = 1e-9
-
-#: Blocks of at most this many cells (``n * m``) take the scalar search,
-#: larger ones the array search.  Median ms per solve on random
-#: ``U(0, 1)`` blocks, worker capacities 1-3, task capacity 1 (2-vCPU
-#: x86-64 host, CPython 3.11, numpy 2.4):
+#: Blocks of at most this many cells (``n * m``) take the list form of
+#: the search, larger ones the array form.  Median ms per solve on
+#: random ``U(0, 1)`` blocks, worker capacities 1-3, task capacity 1
+#: (2-vCPU x86-64 host, CPython 3.11, numpy 2.4):
 #:
-#: ======== ===== ===== ===== ===== ===== ===== =======
-#: block     6x6   8x8  13x16 16x16 20x20 32x32 200x200
-#: array    0.34  0.41  0.82  0.77  0.63  0.84   6.6
-#: scalar   0.31  0.47  1.71  2.02  2.13  6.97  1625
-#: ======== ===== ===== ===== ===== ===== ===== =======
+#: ====== ===== ===== ===== ===== ===== ===== ===== ======= =======
+#: block   6x6  13x16 20x20 32x32 45x45 50x50 64x64 200x100 200x200
+#: list   0.08  0.26  0.45  0.88  1.01  1.15  1.88    8.8    24.7
+#: array  0.17  0.48  0.84  1.28  1.03  1.21  1.42    2.5     7.8
+#: ====== ===== ===== ===== ===== ===== ===== ===== ======= =======
 #:
-#: The array search wins from about 8x8, but ``stream_monitored``'s
-#: windows (at most 143 cells) run faster on the scalar one, 0.08 s
-#: against 0.11 s over the 255 windows at seed 0, and the pinned
-#: micro-batch stream digests are recorded on it.
-_SMALL_BLOCK = 256
+#: The forms cross near 2,000-2,500 cells.  On the 49 windows of
+#: ``stream_micro_batch/n=10000`` (median 39x60) they are even from
+#: 1,500 to 2,500 cells, and the array form wins above.
+_SMALL_BLOCK = 2048
 
 
 def max_weight_b_matching(
@@ -105,22 +97,31 @@ def max_weight_b_matching(
     )
     n_candidates = int(np.count_nonzero(candidate))
     augmentations = rounds = 0
+    edges: list[tuple[int, int]] = []
     if n_candidates:
+        # The side with fewer capacity units (capacities capped at the
+        # node's candidate edges; the columns on a tie) is pushed, one
+        # row of ``cost`` per pushed node.  Its potentials start at
+        # max(0, best weight), the other side's at 0.
+        row_units = np.minimum(row_capacities, candidate.sum(axis=1))
+        col_units = np.minimum(col_capacities, candidate.sum(axis=0))
         forward = np.where(candidate, -weights, np.inf)
-        if n * m <= _SMALL_BLOCK:
-            forward, augmentations, rounds = _augment_small(
-                weights, forward, row_capacities, col_capacities
-            )
+        if row_units.sum() < col_units.sum():
+            cost, units, spare = forward, row_units, col_capacities
         else:
-            forward, augmentations, rounds = _push_units(
-                forward, row_capacities, col_capacities
-            )
-        # A candidate edge's forward arc is +inf exactly while it is
-        # matched; nonzero lists them in (row, col) order.
-        rows, cols = np.nonzero(candidate & np.isinf(forward))
-        edges = list(zip(rows.tolist(), cols.tolist()))
-    else:
-        edges = []
+            cost = np.ascontiguousarray(forward.T)
+            units, spare = col_units, row_capacities
+        push_pot = np.maximum(-cost.min(axis=1), 0.0).tolist()
+        search = _push_lists if n * m <= _SMALL_BLOCK else _push_units
+        partners, augmentations, rounds = search(
+            cost, units.tolist(), spare.tolist(), push_pot
+        )
+        pairs = [
+            (held, node)
+            for node, held_by in enumerate(partners)
+            for held in held_by
+        ]
+        edges = sorted(pairs if cost is forward else [(j, i) for i, j in pairs])
     obs.count("b_matching.augmentations", augmentations)
     obs.count("b_matching.search_rounds", rounds)
     obs.count("b_matching.candidate_edges", n_candidates)
@@ -129,26 +130,19 @@ def max_weight_b_matching(
 
 
 def _push_units(
-    forward: np.ndarray,
-    row_capacities: np.ndarray,
-    col_capacities: np.ndarray,
-) -> tuple[np.ndarray, int, int]:
+    cost: np.ndarray,
+    units: list[int],
+    spare: list[int],
+    push_pot: list[float],
+) -> tuple[list[dict[int, float]], int, int]:
     """Successive shortest paths, one Dijkstra per capacity unit of the
-    side with fewer units; updates the forward arc costs in place and
-    returns them, the count of pushes that matched one more edge and
-    the number of settled nodes."""
-    candidate = np.isfinite(forward)
-    row_units = np.minimum(row_capacities, candidate.sum(axis=1))
-    col_units = np.minimum(col_capacities, candidate.sum(axis=0))
-    # Rows of ``cost`` are the pushed nodes, columns the other side.
-    if row_units.sum() < col_units.sum():
-        cost, units, spare = forward, row_units, col_capacities.tolist()
-    else:
-        cost = np.ascontiguousarray(forward.T)
-        units, spare = col_units, row_capacities.tolist()
+    pushed side (the rows of ``cost``, start potentials ``push_pot``),
+    over numpy rows; updates ``cost``, ``spare`` and ``push_pot`` in
+    place.  Returns the pushed nodes matched to each other-side node
+    with the edge weight, the count of pushes that matched one more edge
+    and the number of settled nodes."""
     n_other = cost.shape[1]
     inf = math.inf
-    push_pot = np.maximum(-cost.min(axis=1), 0.0).tolist()
     other_pot = np.zeros(n_other)
     # ``other_pot`` with the nodes settled in the current search at
     # -inf, so that no relaxation reaches them again.
@@ -157,7 +151,7 @@ def _push_units(
     # node, with the edge weight.
     partners: list[dict[int, float]] = [{} for _ in range(n_other)]
     augmentations = rounds = 0
-    for source, count in enumerate(units.tolist()):
+    for source, count in enumerate(units):
         for _ in range(count):
             label = np.full(n_other, inf)
             heap = [(0.0, source)]
@@ -235,114 +229,94 @@ def _push_units(
             nodes = list(settled)
             other_pot[nodes] += [dist - best for dist, _ in settled.values()]
             open_pot[nodes] = other_pot[nodes]
-    return (cost if cost is forward else cost.T), augmentations, rounds
+    return partners, augmentations, rounds
 
 
-def _augment_small(
-    weights: np.ndarray,
-    forward: np.ndarray,
-    row_capacities: np.ndarray,
-    col_capacities: np.ndarray,
-) -> tuple[list[list[float]], int, int]:
-    """Successive shortest paths from every worker with spare capacity
-    over Python lists, for small blocks.
-
-    Each augmentation is one dense Dijkstra: a round settles the
-    cheapest unsettled worker or task and relaxes its arcs.  Without
-    ties it finds the same optimum as :func:`_push_units`.  Returns the
-    forward arc costs as nested lists, the augmentation count and the
-    number of settled nodes."""
-    n, m = weights.shape
+def _push_lists(
+    cost: np.ndarray,
+    units: list[int],
+    spare: list[int],
+    push_pot: list[float],
+) -> tuple[list[dict[int, float]], int, int]:
+    """The search of :func:`_push_units` over Python lists, for small
+    blocks: the same pushes, labels, tie-breaks and potentials, and the
+    same result and counts.  A settled pushed node's row is relaxed in
+    a loop over its candidate columns, one heap holds both sides, and
+    other-side parents are stored instead of recomputed."""
     inf = math.inf
-    gain = weights.tolist()
-    cost = forward.tolist()
-    columns = [[j for j, arc in enumerate(row) if arc < inf] for row in cost]
-    # Potentials start at the Bellman-Ford distances of the empty flow
-    # (an acyclic network): 0 for workers, each task's cheapest forward
-    # arc, and the cheapest task for the sink.
-    task_pot = [min(0.0, arc) for arc in forward.min(axis=0).tolist()]
-    sink_pot = min(task_pot)
-    worker_pot = [0.0] * n
-    row_spare = row_capacities.tolist()
-    col_spare = col_capacities.tolist()
-    # The backward arcs: the workers matched to each task.
-    holders: list[list[int]] = [[] for _ in range(m)]
+    table = cost.tolist()
+    columns = [[j for j, arc in enumerate(row) if arc < inf] for row in table]
+    n_other = len(spare)
+    other_pot = [0.0] * n_other
+    partners: list[dict[int, float]] = [{} for _ in range(n_other)]
     augmentations = rounds = 0
-    while True:
-        worker_dist = [
-            max(-pot, 0.0) if spare else inf
-            for pot, spare in zip(worker_pot, row_spare)
-        ]
-        task_dist = [inf] * m
-        # Labels of the nodes not yet settled (+inf once settled).
-        worker_open = worker_dist[:]
-        task_open = [inf] * m
-        worker_parent = [-1] * n
-        task_parent = [-1] * m
-        best, best_task = inf, -1
-        while True:
-            worker_label = min(worker_open)
-            task_label = min(task_open)
-            if worker_label <= task_label:
-                if worker_label >= best:
+    for source, count in enumerate(units):
+        for _ in range(count):
+            # Heap entries are (label, kind, node): other-side nodes
+            # (kind 0) before pushed nodes on a tie, as in the array
+            # form.  Settled other-side nodes sit at -inf in ``label``.
+            heap = [(0.0, 1, source)]
+            label = [inf] * n_other
+            parent = [-1] * n_other
+            push_label = {source: 0.0}
+            push_parent: dict[int, int] = {}
+            pushed: list[tuple[int, float]] = []
+            settled: list[tuple[int, float]] = []
+            best, end = inf, -1
+            while heap:
+                dist, kind, node = heapq.heappop(heap)
+                if dist >= best:
                     break
+                if kind:
+                    if push_label[node] < dist:
+                        continue
+                    push_label[node] = -inf
+                    rounds += 1
+                    base = dist + push_pot[node]
+                    pushed.append((node, base))
+                    if base < best:
+                        best, end = base, node
+                    row = table[node]
+                    for j in columns[node]:
+                        reached = row[j] - other_pot[j] + base
+                        if reached < label[j]:
+                            label[j] = reached
+                            parent[j] = node
+                            heapq.heappush(heap, (reached, 0, j))
+                    continue
+                if label[node] < dist:
+                    continue
+                label[node] = -inf
                 rounds += 1
-                worker = worker_open.index(worker_label)
-                worker_open[worker] = inf
-                pot = worker_pot[worker]
-                row = cost[worker]
-                for task in columns[worker]:
-                    label = row[task] + pot - task_pot[task]
-                    if label < 0.0:
-                        label = 0.0
-                    label += worker_label
-                    if label < task_dist[task] and label < best:
-                        task_dist[task] = task_open[task] = label
-                        task_parent[task] = worker
-            else:
-                if task_label >= best:
-                    break
-                rounds += 1
-                task = task_open.index(task_label)
-                task_open[task] = inf
-                pot = task_pot[task]
-                if col_spare[task]:
-                    through = pot - sink_pot
-                    if through < 0.0:
-                        through = 0.0
-                    through += task_label
+                settled.append((node, dist))
+                pot = other_pot[node]
+                if spare[node]:
+                    through = dist + pot
                     if through < best:
-                        best, best_task = through, task
-                for worker in holders[task]:
-                    label = gain[worker][task] + pot - worker_pot[worker]
-                    if label < 0.0:
-                        label = 0.0
-                    label += task_label
-                    if label < worker_dist[worker] and label < best:
-                        worker_dist[worker] = worker_open[worker] = label
-                        worker_parent[worker] = task
-        if best_task < 0 or best + sink_pot >= -_EPS:
-            return cost, augmentations, rounds
-        worker_pot = [
-            pot + (dist if dist < best else best)
-            for pot, dist in zip(worker_pot, worker_dist)
-        ]
-        task_pot = [
-            pot + (dist if dist < best else best)
-            for pot, dist in zip(task_pot, task_dist)
-        ]
-        sink_pot += best
-        task = best_task
-        col_spare[task] -= 1
-        while True:
-            worker = task_parent[task]
-            cost[worker][task] = inf
-            holders[task].append(worker)
-            released = worker_parent[worker]
-            if released < 0:
-                row_spare[worker] -= 1
-                break
-            cost[worker][released] = -gain[worker][released]
-            holders[released].remove(worker)
-            task = released
-        augmentations += 1
+                        best, end = through, ~node
+                for held, weight in partners[node].items():
+                    reached = dist + weight + pot - push_pot[held]
+                    if reached < push_label.get(held, inf):
+                        push_label[held] = reached
+                        push_parent[held] = node
+                        heapq.heappush(heap, (reached, 1, held))
+            node = ~end
+            if end < 0:
+                spare[node] -= 1
+                augmentations += 1
+            elif end != source:
+                node = push_parent[end]
+                table[end][node] = -partners[node].pop(end)
+            while end != source:
+                held = parent[node]
+                partners[node][held] = -table[held][node]
+                table[held][node] = inf
+                if held == source:
+                    break
+                node = push_parent[held]
+                table[held][node] = -partners[node].pop(held)
+            for held, base in pushed:
+                push_pot[held] = base - best
+            for node, dist in settled:
+                other_pot[node] += dist - best
+    return partners, augmentations, rounds

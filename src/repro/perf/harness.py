@@ -625,10 +625,10 @@ def build_stream_suite(
         # A window's block is the workers online and the tasks open at
         # its flush, so its size follows the arrival rate.  At the rate
         # floor (8) the blocks are ~8x8 (255 windows, the largest 210
-        # cells), all under the b-matching kernel's scalar-search rule,
-        # as in the ``stream_monitored`` workload; the full tier's case
-        # above runs at rate 40 (~39x58, the array search).  One size on
-        # both tiers.
+        # cells), all on the list form of the b-matching kernel's
+        # search, as in the ``stream_monitored`` workload; the full
+        # tier's case above runs at rate 40 (~39x58, mostly the array
+        # form).  One size on both tiers.
         _stream_case(
             "micro-batch", _STREAM_QUICK_SIZE, batch_window=1.0, label="_w1"
         ),

@@ -1,6 +1,6 @@
 """Tests for maximum-weight b-matching: brute force, the explicit-network
 reference, the scipy LP oracle, input validation, and the size rule
-that picks the kernel's array or scalar search."""
+that picks the array or list form of the kernel's search."""
 
 import itertools
 import math
@@ -424,9 +424,9 @@ def block_instances(draw):
     return _block(rng, n, m, draw(st.booleans()), draw(st.booleans()))
 
 
-#: The kernel's two private searches, each forced by moving the size
+#: The two forms of the kernel's search, each forced by moving the size
 #: rule's constant past every block.
-SEARCHES = {"array": -1, "scalar": 10**9}
+SEARCHES = {"array": -1, "list": 10**9}
 
 
 @contextmanager
@@ -468,8 +468,8 @@ def _solve_both(weights, row_caps, col_caps):
 
 
 class TestAgainstOracles:
-    """Both searches against the explicit-network reference and the LP
-    optimum, on the same instances."""
+    """Both forms of the search against the explicit-network reference
+    and the LP optimum, on the same instances."""
 
     @settings(max_examples=200, deadline=None)
     @given(b_matching_instances())
@@ -559,10 +559,11 @@ class TestAgainstOracles:
             assert set(one) <= set(edges) or set(other) <= set(edges)
 
 
-def _counters(search, weights, row_caps, col_caps):
+def _work(search, weights, row_caps, col_caps):
+    """The edges and the ``b_matching.*`` counters of one form."""
     with obs.tracing() as tracer, _search(search):
-        max_weight_b_matching(weights, row_caps, col_caps)
-    return {
+        edges, _total = max_weight_b_matching(weights, row_caps, col_caps)
+    return edges, {
         name.removeprefix("b_matching."): value
         for name, value in tracer.metrics.counters.items()
         if name.startswith("b_matching.")
@@ -577,25 +578,24 @@ def _spy(search):
 
 
 class TestSearchForms:
-    """The size rule: which search runs, and what both report."""
+    """The size rule: which form runs, and what both report."""
 
     @settings(max_examples=80, deadline=None)
     @given(instance=block_instances())
     def test_both_searches_report_the_same_work(self, instance):
-        """The two searches are different exact algorithms: where
-        integer weights tie, they may return optima with different
-        edge counts.  Continuous weights have one optimum, so there
-        the counts agree too."""
-        weights = instance[0]
-        array = _counters("array", *instance)
-        scalar = _counters("scalar", *instance)
-        assert array["candidate_edges"] == scalar["candidate_edges"]
-        if np.any(weights != np.round(weights)):
-            for name in ("augmentations", "matched_edges"):
-                assert array[name] == scalar[name], name
-        for counters in (array, scalar):
-            assert counters["search_rounds"] >= counters["augmentations"]
-            assert counters["augmentations"] == counters["matched_edges"]
+        """The two forms are one search in two data layouts: on every
+        draw, tied integer weights included, they take the same edges
+        and report the same four counters."""
+        array_edges, array = _work("array", *instance)
+        list_edges, listed = _work("list", *instance)
+        assert array_edges == list_edges
+        assert array == listed
+        assert set(array) == {
+            "augmentations", "search_rounds", "candidate_edges",
+            "matched_edges",
+        }
+        assert array["search_rounds"] >= array["augmentations"]
+        assert array["augmentations"] == array["matched_edges"]
 
     def test_block_draws_push_either_side(self):
         """``block_instances`` reaches both orientations of the array
@@ -607,7 +607,7 @@ class TestSearchForms:
         }
         assert pushed == {True, False}
 
-    def test_micro_batch_windows_take_the_scalar_search(self):
+    def test_micro_batch_windows_take_the_list_search(self):
         compiled = compile_stream(
             {
                 "schema": "repro-spec/1",
@@ -629,16 +629,16 @@ class TestSearchForms:
         refuse = AssertionError("a window took the array search")
         with obs.tracing() as tracer, mock.patch.object(
             b_matching, "_push_units", side_effect=refuse
-        ), _spy("_augment_small") as search:
+        ), _spy("_push_lists") as search:
             dispatcher.run(seed=0)
         assert search.call_count > 0
         counters = tracer.metrics.counters
         assert counters["stream.windows"] > 100
         assert counters["b_matching.augmentations"] > 0
 
-    def test_small_window_bench_case_takes_the_scalar_search(self):
+    def test_small_window_bench_case_takes_the_list_search(self):
         """``repro bench``'s 1.0-window micro-batch case, the same on both
-        tiers, times the scalar search on every window."""
+        tiers, times the list form on every window."""
         quick, full = (
             [case for case in build_stream_suite(quick=tier) if "_w1/" in case.name]
             for tier in (True, False)
@@ -647,7 +647,7 @@ class TestSearchForms:
         refuse = AssertionError("a bench window took the array search")
         with obs.tracing() as tracer, mock.patch.object(
             b_matching, "_push_units", side_effect=refuse
-        ), _spy("_augment_small") as search:
+        ), _spy("_push_lists") as search:
             quick[0].runner(1)
         assert search.call_count > 0
         assert tracer.metrics.counters["b_matching.augmentations"] > 0
@@ -656,9 +656,9 @@ class TestSearchForms:
         market = generate_market(
             SyntheticConfig(n_workers=200, n_tasks=100), seed=0
         )
-        refuse = AssertionError("a 200x100 solve took the scalar search")
+        refuse = AssertionError("a 200x100 solve took the list form")
         with mock.patch.object(
-            b_matching, "_augment_small", side_effect=refuse
+            b_matching, "_push_lists", side_effect=refuse
         ), _spy("_push_units") as search:
             assignment = get_solver("flow").solve(MBAProblem(market), seed=0)
         assert search.call_count == 1
