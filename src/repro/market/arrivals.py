@@ -16,8 +16,8 @@ with timestamps.  Three processes cover the evaluation's needs:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from repro.errors import ValidationError
 from repro.utils.rng import SeedLike, as_rng
 
 
-@dataclass(frozen=True)
-class Arrival:
-    """One arrival event: which entity index arrived and when."""
+class Arrival(NamedTuple):
+    """One arrival event: which entity index arrived and when (a named
+    tuple, built at tuple cost once per entity)."""
 
     index: int
     time: float

@@ -232,18 +232,14 @@ class DispatchRuntime:
 
     def open_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(sorted open task indices, their posting times)."""
-        if not self.open:
-            return np.zeros(0, dtype=np.int64), np.zeros(0)
-        tasks = np.fromiter(
-            self.open, dtype=np.int64, count=len(self.open)
-        )
+        tasks = np.fromiter(self.open, dtype=np.int64, count=len(self.open))
         tasks.sort()
         posted = np.array([self.open[int(j)] for j in tasks])
         return tasks, posted
 
     def online_array(self) -> np.ndarray:
         """Online workers with remaining capacity, presence order."""
-        return np.fromiter(self.ledger.online(), dtype=np.int64)
+        return self.ledger.online_array()
 
     def column(self, task_index: int, workers: np.ndarray) -> np.ndarray:
         """Combined benefit of one task against online ``workers``.
@@ -577,6 +573,8 @@ class StreamDispatcher:
         heap: list[tuple[float, int, object, int]] = []
         seq = itertools.count()
         push = heapq.heappush
+        # Deadline of the last task posted, scheduled or not.
+        last_deadline = 0.0
 
         def pull(stream: _Lookahead, handler) -> None:
             arrival = stream.pull()
@@ -584,6 +582,7 @@ class StreamDispatcher:
                 push(heap, (arrival.time, next(seq), handler, arrival.index))
 
         def on_task(time: float, task: int) -> None:
+            nonlocal last_deadline
             pull(task_stream, on_task)
             if max_open > 0 and len(open_tasks) >= max_open:
                 result.dropped_tasks += 1
@@ -591,7 +590,6 @@ class StreamDispatcher:
                     telemetry._dropped += 1
                 return
             open_tasks[task] = time
-            push(heap, (time + deadline, next(seq), on_expire, task))
             # Queue depth includes the new task, read before the
             # policy may assign it away.
             result.posted_tasks += 1
@@ -602,6 +600,11 @@ class StreamDispatcher:
                 scrape_depth(depth)
             if publish_posted:
                 publish(TaskPosted(time, task, task))
+            # Only a task still open can expire.  Handlers push nothing,
+            # so the deadline keeps its ``seq`` order.
+            last_deadline = time + deadline
+            if task in open_tasks:
+                push(heap, (last_deadline, next(seq), on_expire, task))
 
         def on_login(time: float, index: int) -> None:
             pull(worker_stream, on_login)
@@ -666,8 +669,8 @@ class StreamDispatcher:
         # Flat obs counters are recorded once from the run totals:
         # a counter call per event is measurable on the dispatch hot
         # path (the obs_overhead bench case gates the ratio), and the
-        # end-of-run sums are identical.  Every posted task's deadline
-        # was on the heap, so no task is still open here.
+        # end-of-run sums are identical.  Every task its posting left
+        # open had its deadline on the heap, so no task is open here.
         for name, total in (
             ("stream.posted", result.posted_tasks),
             ("stream.assigned", len(result.records)),
@@ -680,7 +683,10 @@ class StreamDispatcher:
             if total:
                 obs.count(name, total)
         bus.flush_metrics()
-        result.end_time = clock
+        # The run ends at its last event, unscheduled deadlines included
+        # (micro-batch, whose flush chain runs while the heap is not
+        # empty, assigns nothing at posting, so it schedules them all).
+        result.end_time = max(clock, last_deadline)
         if telemetry is not None:
             telemetry.finish(runtime)
         self._publish_summary(result)

@@ -12,6 +12,7 @@ p50/p95/p99 from there as obs *gauges* at run end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,9 +22,9 @@ from repro.obs.timeseries import exact_percentile
 LATENCY_PERCENTILES: tuple[int, ...] = (50, 95, 99)
 
 
-@dataclass(frozen=True)
-class AssignmentRecord:
-    """One emitted (worker, task) edge, as the writer serializes it."""
+class AssignmentRecord(NamedTuple):
+    """One emitted (worker, task) edge, as the writer serializes it: a
+    named tuple, immutable and built at tuple cost once per assignment."""
 
     time: float
     worker_index: int

@@ -126,11 +126,9 @@ class SamplePricePolicy(DispatchPolicy):
         runtime = self.runtime
         worker = event.worker_index
         capacity = runtime.capacity(worker)
-        if capacity <= 0:
+        if capacity <= 0 or not runtime.open:
             return
         tasks, posted = runtime.open_arrays()
-        if tasks.size == 0:
-            return
         benefits = runtime.rows.row(worker, tasks)
         for position in take_best(
             benefits, capacity, self._thresholds(posted, event.time)

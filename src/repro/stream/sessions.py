@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from repro.errors import ValidationError
 
 
@@ -87,6 +89,10 @@ class SessionLedger:
     def online(self) -> list[int]:
         """Workers with positive capacity, in online-presence order."""
         return list(self._remaining)
+
+    def online_array(self) -> np.ndarray:
+        """:meth:`online` as an int64 array, read without a list copy."""
+        return np.fromiter(self._remaining, np.int64, count=len(self._remaining))
 
     def session_worker(self, session_id: int) -> int | None:
         """Worker owning an open session, or ``None`` if closed."""

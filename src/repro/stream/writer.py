@@ -11,16 +11,23 @@ Append-only JSONL is the deliberate format: each flush is a pure
 suffix, so a reader never observes a half-rewritten file, and a crash
 loses at most the unflushed tail — the same reasoning the obs
 registry's index log uses.
+
+Each line is one ``%`` template, byte-identical to
+``json.dumps(record.to_dict())``: floats are spelled by ``float.__repr__``
+as json spells them, then ``nan``/``inf`` become json's ``NaN``/``Infinity``
+(no key contains either word, so a batch-wide replace touches only values).
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro import obs
 from repro.errors import ValidationError
 from repro.stream.metrics import AssignmentRecord
+
+#: One JSONL line; the keys and their order are ``to_dict``'s.
+_LINE = '{"time": %s, "worker": %d, "task": %d, "benefit": %s, "wait": %s}\n'
 
 
 class BatchWriter:
@@ -60,9 +67,15 @@ class BatchWriter:
         """Append all buffered records; returns how many were written."""
         if not self._buffer:
             return 0
+        number = float.__repr__
         lines = "".join(
-            json.dumps(record.to_dict()) + "\n" for record in self._buffer
+            [
+                _LINE % (number(time), worker, task, number(benefit), number(wait))
+                for time, worker, task, benefit, wait in self._buffer
+            ]
         )
+        if "nan" in lines or "inf" in lines:
+            lines = lines.replace("nan", "NaN").replace("inf", "Infinity")
         with open(self.path, "a") as handle:
             handle.write(lines)
         written = len(self._buffer)

@@ -127,3 +127,11 @@ class TestTraceArrivals:
             assert type(arrival.time) is float
         # np.int64 is not JSON-serializable; builtin ints/floats are.
         json.dumps([[a.index, a.time] for a in stream])
+
+
+def test_arrival_is_an_immutable_named_pair():
+    arrival = Arrival(3, 1.25)
+    assert arrival._fields == ("index", "time")
+    assert (arrival.index, arrival.time) == (3, 1.25)
+    with pytest.raises(AttributeError):
+        arrival.time = 0.0

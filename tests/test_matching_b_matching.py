@@ -3,8 +3,10 @@ reference, the scipy LP oracle, input validation, and the size rule
 that picks the array or list form of the kernel's search."""
 
 import itertools
+import json
 import math
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -663,6 +665,51 @@ class TestSearchForms:
             assignment = get_solver("flow").solve(MBAProblem(market), seed=0)
         assert search.call_count == 1
         assert len(assignment.edges) > 0
+
+
+#: Micro-batch windows of the ``stream_monitored`` benchmark workload
+#: (instance seeds 7 and 13) with two optima of bit-equal total; the
+#: weights are float hex, so the tie survives the file.
+_TIES = json.loads(
+    (Path(__file__).parent / "fixtures" / "b_matching_ties.json").read_text()
+)
+
+
+class TestExactTies:
+    """Which of two tied optima the kernel takes depends on its search
+    order alone.  These tests name the edges it takes on recorded tied
+    windows, so a change of search order fails here, not only through
+    the stream digests the windows feed."""
+
+    @staticmethod
+    def _inputs(case):
+        weights = np.array(
+            [[float.fromhex(w) for w in row] for row in case["weights"]]
+        )
+        return (
+            weights,
+            np.array(case["row_capacities"]),
+            np.array(case["col_capacities"]),
+        )
+
+    @pytest.mark.parametrize("case", _TIES, ids=lambda case: case["name"])
+    def test_the_swap_is_a_bit_equal_tie(self, case):
+        weights, _rows, _cols = self._inputs(case)
+        (i, j), (k, l) = case["swap"]
+        assert [i, j] in case["edges"] and [k, l] in case["edges"]
+        assert [i, l] not in case["edges"] and [k, j] not in case["edges"]
+        assert weights[i, l] > 0 and weights[k, j] > 0
+        assert weights[i, j] + weights[k, l] == weights[i, l] + weights[k, j]
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    @pytest.mark.parametrize("case", _TIES, ids=lambda case: case["name"])
+    def test_kernel_takes_the_named_optimum(self, case, search):
+        weights, rows, cols = self._inputs(case)
+        with _search(search):
+            edges, total = max_weight_b_matching(weights, rows, cols)
+        assert [list(edge) for edge in edges] == case["edges"]
+        _reference_edges, optimum = b_matching_reference(weights, rows, cols)
+        assert total == pytest.approx(optimum, abs=1e-12)
 
 
 _KERNELS = {

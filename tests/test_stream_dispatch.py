@@ -9,6 +9,7 @@ arrival orders.
 import dataclasses
 import gc
 import hashlib
+import heapq
 import weakref
 
 import numpy as np
@@ -317,6 +318,22 @@ class TestOnlinePolicies:
             result.max_queue_depth,
         ) == self.PINNED_TALLIES[policy]
         assert result.dropped_tasks == result.skipped_logins == 0
+
+    # ``end_time`` of the same seeded runs.  It counts the deadlines of
+    # tasks assigned at posting, which are never scheduled, so a run
+    # ends where a loop that scheduled every deadline would end.
+    PINNED_END_TIMES = {
+        "greedy": 20.197930600828098,
+        "sample-price": 20.197930600828098,
+        "micro-batch": 21.0,
+    }
+
+    @pytest.mark.parametrize(
+        "policy", ["greedy", "sample-price", "micro-batch"]
+    )
+    def test_end_time_is_pinned(self, policy):
+        result = self._pinned_run(policy)
+        assert result.end_time == self.PINNED_END_TIMES[policy]
 
     def test_only_subscribed_kinds_are_published(self):
         """Greedy subscribes to postings and logins only; deadlines,
@@ -727,6 +744,58 @@ class TestBackpressure:
         assert result.skipped_logins == len(inactive)
         assert result.logins == market.n_workers - len(inactive)
         assert not {r.worker_index for r in result.records} & inactive
+
+
+class TestDeadlineScheduling:
+    """A deadline is scheduled only for a task its posting left open."""
+
+    @staticmethod
+    def _spy_pushes(monkeypatch):
+        """Every heap entry the dispatch loop pushes, in push order."""
+        pushed = []
+        heappush = heapq.heappush
+
+        def spy(heap, entry):
+            pushed.append(entry)
+            heappush(heap, entry)
+
+        monkeypatch.setattr(heapq, "heappush", spy)
+        return pushed
+
+    def test_end_time_is_the_unscheduled_last_deadline(self, monkeypatch):
+        """Greedy assigns both tasks when they are posted, so the last
+        event is the second task's deadline, 0.5 + 5.0."""
+        pushed = self._spy_pushes(monkeypatch)
+        result = StreamDispatcher(
+            generate_market(SyntheticConfig(n_workers=2, n_tasks=2), seed=0),
+            DispatchConfig(deadline=5.0, session_length=1.0),
+            task_arrivals=TraceArrivals([0, 1], times=[0.25, 0.5]),
+            worker_arrivals=TraceArrivals([0, 1], times=[0.0, 0.125]),
+        ).run(seed=0)
+        assert [(r.time, r.task_index) for r in result.records] == [
+            (0.25, 0),
+            (0.5, 1),
+        ]
+        assert result.expired_tasks == 0
+        # Two task arrivals, two logins and two logouts: no deadline.
+        assert sorted(entry[0] for entry in pushed) == [
+            0.0, 0.125, 0.25, 0.5, 1.0, 1.125
+        ]
+        # The sessions end at 1.0 and 1.125; the run ends at the
+        # deadline of the task posted last.
+        assert result.end_time == 0.5 + 5.0
+
+    def test_task_left_open_is_scheduled_and_expires(self, monkeypatch):
+        pushed = self._spy_pushes(monkeypatch)
+        result = StreamDispatcher(
+            _market(seed=3, n_workers=1, n_tasks=1),
+            DispatchConfig(deadline=2.0, session_length=1.0),
+            task_arrivals=TraceArrivals([0], times=[0.5]),
+            worker_arrivals=TraceArrivals([0], times=[3.0]),
+        ).run(seed=0)
+        assert result.expired_tasks == 1
+        assert 0.5 + 2.0 in [entry[0] for entry in pushed]
+        assert result.end_time == 3.0 + 1.0
 
 
 class TestRun:

@@ -28,6 +28,19 @@ def _result(waits):
     return result
 
 
+class TestAssignmentRecord:
+    def test_fields_immutability_and_dict(self):
+        record = AssignmentRecord(1.5, 2, 3, 0.7, 0.5)
+        assert record._fields == (
+            "time", "worker_index", "task_index", "benefit", "wait"
+        )
+        with pytest.raises(AttributeError):
+            record.benefit = 0.0
+        assert record.to_dict() == {
+            "time": 1.5, "worker": 2, "task": 3, "benefit": 0.7, "wait": 0.5
+        }
+
+
 class TestLatencyReservoir:
     """Exact latency percentiles of ``StreamResult.latency_summary()``,
     which reads the wait of every emitted record."""
