@@ -168,9 +168,9 @@ class MBAProblem:
         The benefit matrices are immutable for the lifetime of a
         problem, so the pruning mask is a pure function of ``k`` — but
         the pruned solver and the sharded solver's boundary-refinement
-        pass both need it, and recomputing the double ``argpartition``
-        per call dominates their runtime at scale.  Cached per ``k``;
-        callers must treat the returned mask as read-only.
+        pass both need it, and recomputing the per-row and per-column
+        partitions per call dominates their runtime at scale.  Cached
+        per ``k``; callers must treat the returned mask as read-only.
         """
         mask = self._candidate_masks.get(k)
         if mask is None:

@@ -405,12 +405,13 @@ def _shard_problem(n_workers: int, n_tasks: int, seed: int) -> MBAProblem:
     )
     problem = MBAProblem(market, combiner=LinearCombiner(0.5))
     # Fault the benefit matrices and the allocator's large-block
-    # arenas in before timing starts: at n=10k the *first* full-matrix
-    # argpartition in a process pays several times its steady-state
-    # cost in page faults, and that penalty would land on whichever
-    # side happens to run first.  The throwaway mask (k=2 is never a
-    # real case k, so no solver-visible cache is seeded) makes both
-    # sides measure steady state.
+    # arenas in before timing starts: at n=10k the *first* top-k mask
+    # in a process pays several times its steady-state cost in page
+    # faults on its full-matrix partition copies and boolean masks, and
+    # that penalty would land on whichever side happens to run first.
+    # The throwaway mask (k=2 is never a real case k, so no
+    # solver-visible cache is seeded) makes both sides measure steady
+    # state.
     top_k_edge_mask(problem.benefits.combined, 2)
     return problem
 

@@ -49,6 +49,68 @@ class TestTopKMask:
         assert (large | small == large).all()  # small subset of large
 
 
+def _two_argpartition_mask(combined, k):
+    """The mask as two full ``argpartition`` calls build it: the
+    reference for the threshold form, whose tied rows and columns must
+    keep the same entries."""
+    n, m = combined.shape
+    mask = np.zeros((n, m), dtype=bool)
+    if n == 0 or m == 0:
+        return mask
+    k_row = min(k, m)
+    row_top = np.argpartition(-combined, k_row - 1, axis=1)[:, :k_row]
+    mask[np.arange(n)[:, np.newaxis], row_top] = True
+    k_col = min(k, n)
+    col_top = np.argpartition(-combined, k_col - 1, axis=0)[:k_col, :]
+    mask[col_top, np.arange(m)[np.newaxis, :]] = True
+    return mask
+
+
+class TestTopKMaskOracle:
+    def _check(self, matrix, k):
+        np.testing.assert_array_equal(
+            top_k_edge_mask(matrix, k), _two_argpartition_mask(matrix, k)
+        )
+
+    def test_tie_heavy_integer_matrices(self):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            n, m = (int(size) for size in rng.integers(1, 30, size=2))
+            k = int(rng.integers(1, 35))
+            self._check(rng.integers(-2, 3, size=(n, m)).astype(float), k)
+
+    def test_constant_matrices(self):
+        for n, m in [(1, 1), (5, 9), (40, 17), (64, 300)]:
+            for k in (1, 2, 7, 50):
+                self._check(np.full((n, m), 0.5), k)
+
+    def test_signed_zero_ties(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            n, m = (int(size) for size in rng.integers(1, 20, size=2))
+            matrix = rng.choice([0.0, -0.0, 1.0, -1.0], size=(n, m))
+            self._check(matrix, int(rng.integers(1, 6)))
+
+    def test_k_one_and_k_at_or_past_each_side(self):
+        rng = np.random.default_rng(13)
+        matrix = rng.integers(-2, 3, size=(12, 7)).astype(float)
+        for k in (1, 6, 7, 8, 12, 13, 40):
+            self._check(matrix, k)
+
+    def test_single_row_and_single_column_blocks(self):
+        rng = np.random.default_rng(14)
+        for shape in [(1, 25), (25, 1)]:
+            for k in (1, 3, 25, 30):
+                self._check(rng.integers(-2, 3, size=shape).astype(float), k)
+                self._check(rng.uniform(-1, 1, size=shape), k)
+
+    def test_untied_random_matrices(self):
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            n, m = (int(size) for size in rng.integers(1, 60, size=2))
+            self._check(rng.uniform(-1, 1, size=(n, m)), int(rng.integers(1, 12)))
+
+
 class TestPrunedGreedy:
     def test_invalid_k(self):
         with pytest.raises(ValidationError):

@@ -1,13 +1,40 @@
 """The greedy walk kernel and its candidate lists."""
 
 import numpy as np
+import pytest
 
 from repro import obs
+from repro.matching import greedy
 from repro.matching.greedy import candidate_edges, ranked_edges, take_in_order
 
 
 def _pairs(rows, cols):
     return list(zip(rows.tolist(), cols.tolist()))
+
+
+def _per_edge_walk(rows, cols, row_caps, col_caps):
+    """The walk one edge at a time: the reference for the chunked walk.
+    Returns the taken edges and the number of edges visited."""
+    row_left = np.asarray(row_caps).tolist()
+    col_left = np.asarray(col_caps).tolist()
+    limit = min(sum(row_left), sum(col_left))
+    taken, scanned = [], 0
+    if limit > 0:
+        for i, j in zip(rows, cols):
+            scanned += 1
+            if row_left[i] > 0 and col_left[j] > 0:
+                row_left[i] -= 1
+                col_left[j] -= 1
+                taken.append((int(i), int(j)))
+                if len(taken) == limit:
+                    break
+    return taken, scanned
+
+
+def _walk(rows, cols, row_caps, col_caps):
+    with obs.tracing() as tracer:
+        taken = take_in_order(rows, cols, row_caps, col_caps)
+    return taken, tracer.metrics.counters["greedy.edges_scanned"]
 
 
 class TestCandidateEdges:
@@ -84,7 +111,23 @@ class TestTakeInOrder:
             ]
         assert tracer.metrics.counters["greedy.edges_scanned"] == 3
 
-    def test_matches_a_scalar_walk(self):
+
+
+@pytest.fixture(params=[1, 2, 3, None], ids=["chunk1", "chunk2", "chunk3", "default"])
+def chunk(request, monkeypatch):
+    """Run the walk at chunk lengths 1, 2, 3 and the module default."""
+    if request.param is not None:
+        monkeypatch.setattr(greedy, "_WALK_CHUNK", request.param)
+    return greedy._WALK_CHUNK
+
+
+class TestChunkedWalkMatchesPerEdgeWalk:
+    def _check(self, rows, cols, row_caps, col_caps):
+        assert _walk(rows, cols, row_caps, col_caps) == _per_edge_walk(
+            rows, cols, row_caps, col_caps
+        )
+
+    def test_random_walks(self, chunk):
         rng = np.random.default_rng(3)
         for _ in range(200):
             n, m = (int(size) for size in rng.integers(1, 8, size=2))
@@ -93,11 +136,50 @@ class TestTakeInOrder:
             size = int(rng.integers(0, 3 * n * m + 1))
             rows = rng.integers(0, n, size=size)
             cols = rng.integers(0, m, size=size)
-            row_left, col_left = row_caps.tolist(), col_caps.tolist()
-            expected = []
-            for i, j in zip(rows.tolist(), cols.tolist()):
-                if row_left[i] > 0 and col_left[j] > 0:
-                    row_left[i] -= 1
-                    col_left[j] -= 1
-                    expected.append((i, j))
-            assert take_in_order(rows, cols, row_caps, col_caps) == expected
+            self._check(rows, cols, row_caps, col_caps)
+
+    def test_limit_reached_at_a_chunk_boundary(self, chunk):
+        # One column slot per row and ``chunk`` column slots in all:
+        # the limit falls on the chunk's last edge, then (one more slot)
+        # on the next chunk's first edge.
+        for slots in (chunk, chunk + 1):
+            size = 2 * chunk + 2
+            rows = np.arange(size)
+            cols = np.zeros(size, dtype=np.intp)
+            taken, scanned = _walk(rows, cols, [1] * size, [slots])
+            assert len(taken) == slots
+            assert scanned == slots
+            self._check(rows, cols, [1] * size, [slots])
+
+    def test_full_rows_are_skipped_inside_later_chunks(self, chunk):
+        # Row 0 fills on its first edge; its later edges are skipped
+        # without ending the walk, which then takes rows 1 and 2.
+        rows = np.array([0, 0, 0, 0, 0, 1, 0, 2])
+        cols = np.array([0, 1, 2, 0, 1, 1, 2, 2])
+        self._check(rows, cols, [1, 1, 1], [1, 1, 1])
+        assert _walk(rows, cols, [1, 1, 1], [1, 1, 1]) == (
+            [(0, 0), (1, 1), (2, 2)], 8,
+        )
+
+    def test_zero_limit_and_empty_input(self, chunk):
+        rows, cols = np.array([0, 1]), np.array([0, 0])
+        assert _walk(rows, cols, [0, 0], [2]) == ([], 0)
+        assert _walk(rows, cols, [1, 1], [0]) == ([], 0)
+        empty = np.zeros(0, dtype=np.intp)
+        assert _walk(empty, empty, [1], [1]) == ([], 0)
+        assert _walk([], [], [1], [1]) == ([], 0)
+
+    def test_python_list_inputs(self, chunk):
+        rows, cols = [2, 0, 1, 0, 2, 1], [0, 1, 1, 0, 1, 0]
+        self._check(rows, cols, [1, 2, 1], [2, 2])
+        taken, _ = _walk(rows, cols, [1, 2, 1], [2, 2])
+        assert all(type(index) is int for edge in taken for index in edge)
+
+    def test_zero_capacity_rows_and_columns(self, chunk):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            row_caps = rng.integers(0, 2, size=6) * rng.integers(1, 3, size=6)
+            col_caps = rng.integers(0, 2, size=4) * rng.integers(1, 4, size=4)
+            rows = rng.integers(0, 6, size=40)
+            cols = rng.integers(0, 4, size=40)
+            self._check(rows, cols, row_caps, col_caps)
