@@ -731,18 +731,27 @@ def figure17_pruning(scale: float = 1.0, seed: int = 0) -> Table:
         ),
         seed=seed,
     )
-    problem = MBAProblem(market, combiner=LinearCombiner(0.5))
-    with Timer() as flow_timer:
-        flow_value = get_solver("flow").solve(problem).combined_total()
+
+    def timed(solver) -> tuple[float, float]:
+        """(value, median seconds of three solves), each on a fresh
+        problem (no cached top-k mask) with its benefits prebuilt."""
+        seconds = []
+        for _ in range(3):
+            problem = MBAProblem(market, combiner=LinearCombiner(0.5))
+            problem.benefits
+            with Timer() as timer:
+                assignment = solver.solve(problem)
+            seconds.append(timer.elapsed)
+        return assignment.combined_total(), float(np.median(seconds))
+
+    flow_value, flow_seconds = timed(get_solver("flow"))
     for k in (1, 2, 5, 10, 20, 50):
-        solver = get_solver("pruned-greedy", k=k)
-        with Timer() as timer:
-            value = solver.solve(problem).combined_total()
+        value, seconds = timed(get_solver("pruned-greedy", k=k))
         table.add_row(
             k,
             value / flow_value if flow_value > 0 else float("nan"),
-            timer.elapsed,
-            flow_timer.elapsed,
+            seconds,
+            flow_seconds,
         )
     return table
 

@@ -210,12 +210,20 @@ class SloMonitor:
         """Advance every rule's state machine to ``bucket``; returns
         the transitions this window caused (already appended to
         :attr:`events`)."""
+        return self._evaluate(bucket, {})
+
+    def _evaluate(
+        self, bucket: int, reads: dict[str, dict[int, tuple[float, bool]]]
+    ) -> list[AlertEvent]:
+        """:meth:`evaluate` through ``reads``, rule name -> bucket ->
+        (value, breached), shared by calls that see one store state."""
         emitted: list[AlertEvent] = []
         for rule in self.rules:
+            seen = reads.setdefault(rule.name, {})
             short = _burn_fraction(self.store, rule, bucket,
-                                   rule.short_windows)
+                                   rule.short_windows, seen)
             long = _burn_fraction(self.store, rule, bucket,
-                                  rule.long_windows)
+                                  rule.long_windows, seen)
             if math.isnan(short) and math.isnan(long):
                 continue
             if (
@@ -242,8 +250,7 @@ class SloMonitor:
                 previous=previous,
                 short_burn=short,
                 long_burn=long,
-                value=self.store.value(rule.series, bucket,
-                                       rule.aggregate),
+                value=seen[bucket][0],
                 threshold=rule.threshold,
                 bound=rule.bound,
             )
@@ -253,12 +260,14 @@ class SloMonitor:
 
     def run(self) -> list[AlertEvent]:
         """Evaluate every retained window that any rule's series
-        touches, in time order; returns all transitions."""
+        touches, in time order; returns all transitions.  Each
+        (rule, window) is read once per call, never across calls."""
         buckets: set[int] = set()
         for rule in self.rules:
             buckets.update(self.store.buckets(rule.series))
+        reads: dict[str, dict[int, tuple[float, bool]]] = {}
         for bucket in sorted(buckets):
-            self.evaluate(bucket)
+            self._evaluate(bucket, reads)
         return self.events
 
     @property
@@ -275,10 +284,12 @@ class SloMonitor:
 
 
 def _burn_fraction(
-    store: TimeseriesStore, rule: SloRule, bucket: int, horizon: int
+    store: TimeseriesStore, rule: SloRule, bucket: int, horizon: int,
+    seen: dict[int, tuple[float, bool]],
 ) -> float:
     """Breach fraction over the ``horizon`` windows ending at
-    ``bucket``; NaN when no window in the horizon holds data.
+    ``bucket``; NaN when no window in the horizon holds data.  Windows
+    missing from ``seen`` are read from the store into it.
 
     The denominator is the full horizon width, not the observed-window
     count: windows with no data count as healthy.  Dividing by observed
@@ -289,11 +300,15 @@ def _burn_fraction(
     observed = 0
     breached = 0
     for b in range(bucket - horizon + 1, bucket + 1):
-        value = store.value(rule.series, b, rule.aggregate)
+        read = seen.get(b)
+        if read is None:
+            value = store.value(rule.series, b, rule.aggregate)
+            read = seen[b] = (value, rule.breached(value))
+        value, breach = read
         if math.isnan(value):
             continue
         observed += 1
-        if rule.breached(value):
+        if breach:
             breached += 1
     if observed == 0:
         return float("nan")

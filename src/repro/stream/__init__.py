@@ -5,9 +5,9 @@ the labor market continuously — tasks and workers arrive through
 :mod:`repro.market.arrivals` processes, events flow over an
 :class:`~repro.stream.bus.EventBus`, and pluggable policies
 (:mod:`repro.stream.policies`) commit assignments incrementally, from
-pure arrival-instant greedy up to micro-batch windows, each a ``flow``
-solve on a ``RowwiseBenefit`` block (exact for edge-decomposable
-combiners such as the linear one).
+pure arrival-instant greedy up to micro-batch windows, each one
+max-weight b-matching of a ``RowwiseBenefit`` block (exact for
+edge-decomposable combiners such as the linear one).
 The round-based engine survives as one policy (``policy = "round"``)
 whose output stays bit-identical to calling it directly.
 

@@ -237,6 +237,13 @@ class DispatchRuntime:
         posted = np.array([self.open[int(j)] for j in tasks])
         return tasks, posted
 
+    def open_tasks(self) -> np.ndarray:
+        """The task indices of :meth:`open_arrays`, without building
+        their posting times."""
+        tasks = np.fromiter(self.open, dtype=np.int64, count=len(self.open))
+        tasks.sort()
+        return tasks
+
     def online_array(self) -> np.ndarray:
         """Online workers with remaining capacity, presence order."""
         return self.ledger.online_array()

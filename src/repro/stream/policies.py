@@ -19,8 +19,8 @@ repository's online-matching layer:
   test pins the equivalence on identical arrival orders);
 * :class:`MicroBatchPolicy` — accumulate arrivals and, at each
   boundary, solve the active window (online workers × open tasks)
-  with one ``flow`` solve on a ``RowwiseBenefit`` block, exact for
-  edge-decomposable (e.g. linear) combiners.
+  with one max-weight b-matching of a ``RowwiseBenefit`` block, exact
+  for edge-decomposable (e.g. linear) combiners.
 
 Round mode is the fourth policy in spirit — it delegates to the batch
 engine wholesale and lives in :mod:`repro.stream.dispatch`.
@@ -36,6 +36,7 @@ import numpy as np
 from repro import obs
 from repro.benefit.matrices import BenefitMatrices
 from repro.errors import ConfigurationError
+from repro.matching.b_matching import max_weight_b_matching
 from repro.matching.online import take_best
 from repro.stream.events import TaskPosted, WindowFlush, WorkerLogin
 
@@ -173,20 +174,18 @@ class MicroBatchPolicy(DispatchPolicy):
 
     Between flushes nothing is assigned; at each ``window-flush`` the
     policy gathers one :class:`~repro.benefit.rows.RowwiseBenefit`
-    block of the online-with-capacity workers against the open tasks
-    and solves it with ``flow`` (max-weight b-matching: each worker up
-    to their remaining capacity, each task at most once).  The window
-    maximizes the summed combined edge score, which is the exact MBA
-    objective for edge-decomposable (e.g. linear) combiners.
+    block of the online-with-capacity workers against the open tasks,
+    checks it as a :class:`BenefitMatrices` bundle and solves it with
+    :func:`~repro.matching.b_matching.max_weight_b_matching` (each
+    worker up to their remaining capacity, each task at most once).
+    The window maximizes the summed combined edge score, which is the
+    exact MBA objective for edge-decomposable (e.g. linear) combiners.
+    Each edge is checked once more as it is committed:
+    :meth:`DispatchRuntime.assign` refuses a task that is not open,
+    and :meth:`SessionLedger.consume` a worker past its capacity.
     """
 
     name = "micro-batch"
-
-    def __init__(self) -> None:
-        from repro.core.solvers import get_solver
-
-        self._solver = get_solver("flow")
-        self.windows_flushed = 0
 
     def bind(self, runtime, bus) -> None:
         # Arrivals just accumulate in the runtime's open/ledger state.
@@ -194,11 +193,9 @@ class MicroBatchPolicy(DispatchPolicy):
         bus.subscribe("window-flush", self._on_flush)
 
     def _on_flush(self, event: WindowFlush) -> None:
-        from repro.core.problem import MBAProblem
-
         runtime = self.runtime
-        workers = runtime.online_array()
-        tasks, _posted = runtime.open_arrays()
+        workers, capacities = runtime.ledger.online_capacities()
+        tasks = runtime.open_tasks()
         if workers.size == 0 or tasks.size == 0:
             return
         rows = runtime.rows
@@ -207,15 +204,12 @@ class MicroBatchPolicy(DispatchPolicy):
         ):
             requester, worker = rows.side_row(workers, tasks)
             combined = rows.combiner.edge_matrix(requester, worker)
-            problem = MBAProblem.from_benefits(
-                BenefitMatrices(requester, worker, combined, rows.combiner),
-                np.array([runtime.capacity(int(i)) for i in workers]),
-                np.ones(tasks.size, dtype=np.int64),
+            BenefitMatrices(requester, worker, combined, rows.combiner)
+            edges, _total = max_weight_b_matching(
+                combined, capacities, np.ones(tasks.size, dtype=np.int64)
             )
-            assignment = self._solver.solve(problem)
-        self.windows_flushed += 1
         obs.count("stream.windows")
-        for wi, tj in assignment.edges:
+        for wi, tj in edges:
             runtime.assign(
                 int(workers[wi]),
                 int(tasks[tj]),

@@ -94,6 +94,13 @@ class SessionLedger:
         """:meth:`online` as an int64 array, read without a list copy."""
         return np.fromiter(self._remaining, np.int64, count=len(self._remaining))
 
+    def online_capacities(self) -> tuple[np.ndarray, np.ndarray]:
+        """(:meth:`online_array`, each worker's remaining capacity)."""
+        count = len(self._remaining)
+        return self.online_array(), np.fromiter(
+            self._remaining.values(), np.int64, count=count
+        )
+
     def session_worker(self, session_id: int) -> int | None:
         """Worker owning an open session, or ``None`` if closed."""
         return self._worker.get(session_id)

@@ -2,6 +2,7 @@
 scrape, the engine's per-round scrape, and the `repro monitor` CI
 gate on the committed healthy/chaos spec pair."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from repro.sim.scenario import Scenario
 from repro.stream.dispatch import DispatchConfig, StreamDispatcher
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 @pytest.fixture(autouse=True)
@@ -169,6 +171,34 @@ class TestMonitorGate:
         events = obs.read_alert_log(alerts)
         paged = {e.rule for e in events if e.state == "page"}
         assert paged & {"participation", "starvation"}
+
+    #: sha256 of each spec's seed-0 alert events (the log minus its
+    #: header line, whose tag carries the spec path as given).  The CI
+    #: gate compares the whole logs with ``tests/fixtures/alerts_*``.
+    ALERT_DIGESTS = {
+        "healthy": (
+            0, 7,
+            "40e0ce6e64021f512b069eb3d2eaad28f58ed641ef6fa8c43f5f144754061bc2",
+        ),
+        "chaos": (
+            1, 9,
+            "8c274be543a39729ab6126794160f5416330f10617be5a3fcb0afce24d7b2756",
+        ),
+    }
+
+    @pytest.mark.parametrize("spec", sorted(ALERT_DIGESTS))
+    def test_alert_events_are_pinned(self, spec, tmp_path, capsys):
+        alerts = tmp_path / "alerts.jsonl"
+        status, count, digest = self.ALERT_DIGESTS[spec]
+        assert main(
+            ["monitor", str(SPECS / f"monitor_{spec}.toml"),
+             "--seed", "0", "--alerts", str(alerts)]
+        ) == status
+        events = alerts.read_text().splitlines()[1:]
+        fixture = FIXTURES / f"alerts_{spec}_seed0.jsonl"
+        assert events == fixture.read_text().splitlines()[1:]
+        assert len(events) == count
+        assert hashlib.sha256("\n".join(events).encode()).hexdigest() == digest
 
     def test_monitor_without_rules_exits_two(self, tmp_path, capsys):
         spec = tmp_path / "no_rules.toml"

@@ -1,6 +1,11 @@
 """SLO rules, burn-rate evaluation, the alert log, and the spec
 ``[slo]`` compilation path feeding ``python -m repro monitor``."""
 
+import json
+import math
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from repro.errors import ValidationError
@@ -136,6 +141,197 @@ class TestBurnRateStateMachine:
         )
         monitor.run()
         assert monitor.events == []
+
+
+class _ReferenceMonitor:
+    """The per-bucket evaluation ``SloMonitor`` ran before it shared
+    its window reads within a run: every bucket reads every window of
+    both horizons, and the event value once more, from the store."""
+
+    def __init__(self, rules, store):
+        self.rules = tuple(rules)
+        self.store = store
+        self.states = {rule.name: "ok" for rule in self.rules}
+        self.events = []
+
+    def evaluate(self, bucket):
+        emitted = []
+        for rule in self.rules:
+            short = self._burn_fraction(rule, bucket, rule.short_windows)
+            long = self._burn_fraction(rule, bucket, rule.long_windows)
+            if math.isnan(short) and math.isnan(long):
+                continue
+            if (
+                not math.isnan(short)
+                and not math.isnan(long)
+                and short >= rule.page_burn
+                and long >= rule.page_burn
+            ):
+                target = "page"
+            elif not math.isnan(short) and short >= rule.warn_burn:
+                target = "warn"
+            else:
+                target = "ok"
+            previous = self.states[rule.name]
+            if target == previous:
+                continue
+            self.states[rule.name] = target
+            event = AlertEvent(
+                rule=rule.name,
+                series=rule.series,
+                bucket=bucket,
+                time=self.store.bucket_time(bucket),
+                state=target,
+                previous=previous,
+                short_burn=short,
+                long_burn=long,
+                value=self.store.value(rule.series, bucket, rule.aggregate),
+                threshold=rule.threshold,
+                bound=rule.bound,
+            )
+            self.events.append(event)
+            emitted.append(event)
+        return emitted
+
+    def run(self):
+        buckets = set()
+        for rule in self.rules:
+            buckets.update(self.store.buckets(rule.series))
+        for bucket in sorted(buckets):
+            self.evaluate(bucket)
+        return self.events
+
+    def _burn_fraction(self, rule, bucket, horizon):
+        observed = 0
+        breached = 0
+        for b in range(bucket - horizon + 1, bucket + 1):
+            value = self.store.value(rule.series, b, rule.aggregate)
+            if math.isnan(value):
+                continue
+            observed += 1
+            if rule.breached(value):
+                breached += 1
+        if observed == 0:
+            return float("nan")
+        return breached / horizon
+
+
+#: Aggregates of each series kind the random rules draw from.
+_AGGREGATES = {
+    "hits": ("sum", "rate"),
+    "level": ("last", "mean"),
+    "wait": ("count", "mean", "min", "max", "p50", "p95", "p99"),
+}
+
+
+def _random_store(rng, store=None):
+    """A counter, a gauge and a sample series over up to 60 windows,
+    each skipping windows at random: NaN gauge writes, empty sample
+    windows, late writes, and a ring small enough to evict."""
+    if store is None:
+        store = TimeseriesStore(
+            window=float(rng.choice([0.5, 1.0, 2.0])),
+            capacity=int(rng.integers(3, 40)),
+        )
+    n_buckets = int(rng.integers(1, 60))
+    for bucket in range(n_buckets):
+        # Mostly the current window, sometimes an older one (which the
+        # ring may already have evicted).
+        if rng.random() < 0.1:
+            bucket = int(rng.integers(0, bucket + 1))
+        t = store.bucket_time(bucket)
+        if rng.random() < 0.7:
+            store.count("hits", t, float(rng.integers(0, 4)))
+        if rng.random() < 0.7:
+            value = np.nan if rng.random() < 0.2 else rng.random()
+            store.gauge("level", t, value)
+        if rng.random() < 0.7:
+            store.extend("wait", t, rng.random(int(rng.integers(0, 6))) * 4)
+    return store
+
+
+def _random_rules(rng):
+    rules = []
+    for k in range(int(rng.integers(1, 7))):
+        series = str(rng.choice(["hits", "level", "wait", "never.scraped"]))
+        aggregates = _AGGREGATES.get(series, ("last",))
+        short = int(rng.integers(1, 5))
+        rules.append(SloRule(
+            name=f"rule-{k}",
+            series=series,
+            aggregate=str(rng.choice(aggregates)),
+            bound=str(rng.choice(["ceiling", "floor"])),
+            threshold=float(rng.random() * 3),
+            short_windows=short,
+            long_windows=short + int(rng.integers(0, 5)),
+            warn_burn=float(rng.choice([0.25, 0.5, 1.0])),
+            page_burn=float(rng.choice([0.5, 0.75, 1.0])),
+        ))
+    return rules
+
+
+def _texts(events):
+    """Events as canonical JSON lines (NaN burns compare equal)."""
+    return [json.dumps(event.to_dict(), sort_keys=True) for event in events]
+
+
+class TestSharedWindowReads:
+    """``run()`` reads each (rule, window) once and must emit exactly
+    what the per-bucket reference does; ``evaluate`` alone must too."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_run_matches_the_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        store, rules = _random_store(rng), _random_rules(rng)
+        monitor = SloMonitor(rules, store)
+        reference = _ReferenceMonitor(rules, store)
+        assert _texts(monitor.run()) == _texts(reference.run())
+        assert monitor.states == reference.states
+        # A store written after a run is read afresh by the next one.
+        _random_store(rng, store)
+        assert _texts(monitor.run()) == _texts(reference.run())
+        assert monitor.states == reference.states
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_evaluate_alone_matches_the_reference(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        store, rules = _random_store(rng), _random_rules(rng)
+        monitor = SloMonitor(rules, store)
+        reference = _ReferenceMonitor(rules, store)
+        for _ in range(40):
+            bucket = int(rng.integers(-3, 64))
+            assert _texts(monitor.evaluate(bucket)) == _texts(
+                reference.evaluate(bucket)
+            )
+            if rng.random() < 0.2:
+                _random_store(rng, store)
+        assert _texts(monitor.events) == _texts(reference.events)
+
+    def test_run_reads_each_window_once(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        store = _random_store(rng)
+        rules = [
+            _rule(name=f"{series}-{aggregate}", series=series,
+                  aggregate=aggregate, short_windows=3, long_windows=6)
+            for series, aggregates in _AGGREGATES.items()
+            for aggregate in aggregates
+        ]
+        reads = Counter()
+        value = TimeseriesStore.value
+
+        def counted(self, name, bucket, aggregate):
+            reads[name, aggregate, bucket] += 1
+            return value(self, name, bucket, aggregate)
+
+        monkeypatch.setattr(TimeseriesStore, "value", counted)
+        SloMonitor(rules, store).run()
+        assert reads and max(reads.values()) == 1
+
+    def test_unknown_aggregate_still_fails_at_its_first_window(self):
+        store = _gauge_run([0.2, 0.9])
+        monitor = SloMonitor([_rule(aggregate="p95")], store)
+        with pytest.raises(ValidationError, match="does not apply"):
+            monitor.run()
 
 
 class TestDefaultCatalogue:

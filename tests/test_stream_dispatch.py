@@ -38,9 +38,11 @@ from repro.stream import (
     SamplePricePolicy,
     StreamDispatcher,
     TaskPosted,
+    WindowFlush,
     WorkerLogin,
     make_policy,
 )
+from repro.stream import policies
 
 
 def _market(seed=0, **kwargs):
@@ -456,6 +458,68 @@ class TestOnlinePolicies:
             ),
         ).run(seed=9)
         assert _pairs(greedy) == _pairs(priced)
+
+
+class TestWindowCommitChecks:
+    """A micro-batch window hands the kernel's edges straight to
+    ``DispatchRuntime.assign``; the books refuse an edge the kernel
+    must never return, and the error names the worker or task."""
+
+    @staticmethod
+    def _flush(monkeypatch, edges):
+        """Flush one window of open tasks 3, 5, 8 and online workers 4
+        (one unit left) and 9 (two units) whose kernel returns
+        ``edges``; returns the runtime."""
+        runtime = DispatchRuntime(
+            DispatchConfig(policy="micro-batch"), RowwiseBenefit(_market())
+        )
+        policy = MicroBatchPolicy()
+        policy.bind(runtime, EventBus())
+        for task in (8, 3, 5):
+            runtime.open[task] = 0.0
+        runtime.ledger.login(4, 1)
+        runtime.ledger.login(9, 2)
+
+        def kernel(weights, row_capacities, col_capacities):
+            assert weights.shape == (2, 3)
+            assert row_capacities.tolist() == [1, 2]
+            assert col_capacities.tolist() == [1, 1, 1]
+            return edges, 0.0
+
+        monkeypatch.setattr(policies, "max_weight_b_matching", kernel)
+        policy._on_flush(WindowFlush(1.0, 0))
+        return runtime
+
+    def test_edge_past_remaining_capacity_is_refused(self, monkeypatch):
+        with pytest.raises(ValidationError, match="worker 4 has no capacity"):
+            self._flush(monkeypatch, [(0, 0), (0, 1)])
+
+    def test_task_taken_twice_is_refused(self, monkeypatch):
+        with pytest.raises(ValidationError, match="task 8 is not open"):
+            self._flush(monkeypatch, [(0, 2), (1, 2)])
+
+    def test_valid_edges_are_booked(self, monkeypatch):
+        runtime = self._flush(monkeypatch, [(0, 1), (1, 0), (1, 2)])
+        assert _pairs(runtime.result) == [(4, 5), (9, 3), (9, 8)]
+        assert runtime.ledger.online_capacities()[0].size == 0
+        assert runtime.open_tasks().size == 0
+
+    def test_window_reads_the_books_it_solves(self):
+        runtime = DispatchRuntime(
+            DispatchConfig(policy="micro-batch"), RowwiseBenefit(_market())
+        )
+        for task, posted in ((8, 0.5), (3, 1.5), (5, 0.0)):
+            runtime.open[task] = posted
+        for worker, capacity in ((7, 2), (2, 0), (4, 3)):
+            runtime.ledger.login(worker, capacity)
+        runtime.ledger.consume(4, 1)
+        workers, capacities = runtime.ledger.online_capacities()
+        assert workers.tolist() == runtime.ledger.online() == [7, 4]
+        assert capacities.tolist() == [2, 2]
+        assert capacities.dtype == np.int64
+        tasks, posted = runtime.open_arrays()
+        assert runtime.open_tasks().tolist() == tasks.tolist() == [3, 5, 8]
+        assert posted.tolist() == [1.5, 0.0, 0.5]
 
 
 class TestBlockServedColumns:
