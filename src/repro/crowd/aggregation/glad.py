@@ -17,7 +17,9 @@ Inference is EM with gradient M-steps (the standard approach):
   log-likelihood w.r.t. alpha and log(beta).
 
 The E-step is the shared
-:meth:`~repro.crowd.aggregation.dawid_skene.TaskRows.e_step`.  The
+:meth:`~repro.crowd.aggregation.dawid_skene.TaskRows.e_step`, which
+re-evaluates only the tasks whose log-joint moved (after the gradient
+steps, nearly all of them).  The
 implementation is deterministic, and tested for likelihood non-decrease
 (up to the inexact M-step's tolerance) and for recovering difficulty
 orderings on synthetic data.
@@ -110,7 +112,7 @@ def glad(
     for iterations in range(1, max_iterations + 1):
         # M-step: gradient ascent on the expected complete-data
         # likelihood, each answer weighted by P(it is correct).
-        correct_weight = posterior[rows.task, rows.vote]
+        correct_weight = rows.on_vote(posterior)
         for _ in range(gradient_steps):
             beta = np.exp(log_beta)[rows.task]
             z = alpha[rows.worker] * beta
@@ -130,6 +132,7 @@ def glad(
             break
         log_likelihood = new_ll
 
+    rows.count_work(iterations)
     tasks = rows.task_ids.tolist()
     return GladResult(
         labels=rows.labels(posterior),

@@ -11,7 +11,11 @@ EM structure mirrors the one-coin module, and shares its
 :class:`~repro.crowd.aggregation.dawid_skene.TaskRows` reductions:
 E-step computes per-task posteriors, M-step re-estimates
 sensitivities/specificities and the class prior; the data
-log-likelihood is non-decreasing.
+log-likelihood is non-decreasing.  Its four per-worker logs go
+through :meth:`TaskRows.cached_log_by_row`, so only the workers whose
+sensitivity or specificity moved are re-evaluated.  The class prior
+moves every iteration and is part of every task's log-joint, so the
+E-step re-evaluates every task on every iteration.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ def two_coin_dawid_skene(
     posterior = rows.soft_majority()
     sensitivity = np.full(rows.worker_ids.size, 0.7)
     specificity = np.full(rows.worker_ids.size, 0.7)
+    cached_logs = [rows.cached_log_by_row() for _ in range(4)]
     log_likelihood = -math.inf
     iterations = 0
 
@@ -96,10 +101,13 @@ def two_coin_dawid_skene(
             )
 
         # E-step + likelihood.
-        log_sens = rows.log_by_row(sensitivity)
-        log_miss = rows.log_by_row(1.0 - sensitivity)
-        log_spec = rows.log_by_row(specificity)
-        log_false = rows.log_by_row(1.0 - specificity)
+        log_sens, log_miss, log_spec, log_false = (
+            log(per_worker)
+            for log, per_worker in zip(
+                cached_logs,
+                (sensitivity, 1.0 - sensitivity, specificity, 1.0 - specificity),
+            )
+        )
         posterior, evidence = rows.e_step(
             np.array([math.log(1.0 - class_prior), math.log(class_prior)]),
             np.column_stack(
@@ -116,6 +124,7 @@ def two_coin_dawid_skene(
             break
         log_likelihood = new_ll
 
+    rows.count_work(iterations)
     tasks = rows.task_ids.tolist()
     workers = rows.worker_ids.tolist()
     return TwoCoinResult(
