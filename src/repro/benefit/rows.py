@@ -168,6 +168,22 @@ class RowwiseBenefit:
             self.worker_model.matrix(selection),
         )
 
+    def moved_rows(self, earlier: RowwiseBenefit) -> np.ndarray | None:
+        """Indices of the workers whose skills, interests or
+        reservation wage differ from ``earlier``'s, or ``None`` when
+        the two differ in worker count or in any task array, so that
+        no row of ``earlier``'s matrices carries over."""
+        tasks = ("_categories", "_difficulties", "_payments", "_efforts")
+        if self._skills.shape != earlier._skills.shape or not all(
+            np.array_equal(getattr(self, a), getattr(earlier, a)) for a in tasks
+        ):
+            return None
+        return np.flatnonzero(
+            (self._skills != earlier._skills).any(axis=1)
+            | (self._interests != earlier._interests).any(axis=1)
+            | (self._reservation != earlier._reservation)
+        )
+
     def edge(self, worker_index: int, task_index: int) -> float:
         """Combined benefit of one edge."""
         return float(self.row(worker_index, np.array([task_index]))[0])

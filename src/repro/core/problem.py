@@ -20,6 +20,19 @@ window, whose block comes from
 :class:`~repro.benefit.rows.RowwiseBenefit` — with no market behind it
 (``problem.market`` is ``None``, so only solvers that read the benefits
 and capacities alone, such as ``flow``, apply).
+
+**Succession.**  :meth:`MBAProblem.succeed` names the previous round's
+problem.  The first read of ``benefits`` then takes over its three
+matrices when both build through
+:class:`~repro.benefit.rows.RowwiseBenefit` with the same combiner and
+side models, the same worker count and equal task arrays, and not every
+row moved; only the moved rows (skills, interests or reservation wage
+differ) are re-evaluated, checked and written in place.  This is exact:
+every benefit formula and combiner is elementwise, so an entry depends
+on its own worker's row and task only, and a row slice equals the full
+matrices bit for bit.  The predecessor gives up its matrices, top-k
+masks and fingerprint memo (a later read there rebuilds from its own
+arrays), so two rounds' matrices are never alive at once.
 """
 
 from __future__ import annotations
@@ -28,6 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
+from repro import obs
 from repro.benefit.base import BenefitModel
 from repro.benefit.matrices import BenefitMatrices, build_benefit_matrices
 from repro.benefit.mutual import LinearCombiner, MutualCombiner
@@ -128,14 +142,55 @@ class MBAProblem:
         # the benefit matrices are immutable for the problem's
         # lifetime, so its content hash is too.
         self._fingerprint: bytes | None = None
+        self._predecessor: MBAProblem | None = None
+
+    # -- succession ------------------------------------------------------
+
+    def succeed(self, predecessor: "MBAProblem | None") -> None:
+        """Let this problem take over ``predecessor``'s benefit
+        matrices on its first read of ``benefits`` (see the module
+        docstring).  Ignored unless both problems build their matrices
+        through :class:`RowwiseBenefit`."""
+        rowwise = hasattr(self, "_rows") and hasattr(predecessor, "_rows")
+        self._predecessor = predecessor if rowwise else None
+
+    def _take_over(self) -> BenefitMatrices | None:
+        """The predecessor's matrices with this problem's moved rows
+        written in, or ``None`` when there is no hand-over."""
+        predecessor, self._predecessor = self._predecessor, None
+        if predecessor is None:
+            return None
+        benefits = predecessor.__dict__.pop("benefits", None)
+        predecessor._candidate_masks = {}
+        predecessor._fingerprint = None
+        if (
+            benefits is None
+            or self.combiner is not predecessor.combiner
+            or any(a is not b for a, b in zip(self._models, predecessor._models))
+        ):
+            return None
+        moved = self._rows.moved_rows(predecessor._rows)
+        if moved is None or moved.size == self.n_workers:
+            return None
+        obs.count("benefit.rows_rebuilt", moved.size)
+        if moved.size:
+            req, wrk = self._rows.side_row(moved, np.arange(self.n_tasks))
+            block = BenefitMatrices(
+                req, wrk, self.combiner.edge_matrix(req, wrk), self.combiner
+            )
+            benefits.requester[moved] = block.requester
+            benefits.worker[moved] = block.worker
+            benefits.combined[moved] = block.combined
+        return benefits
 
     # -- benefits --------------------------------------------------------
 
     @cached_property
     def benefits(self) -> BenefitMatrices:
         """The full benefit matrices of the market as it was when the
-        problem was stated, built on first read and cached."""
-        return build_benefit_matrices(
+        problem was stated, built on first read (or taken over from the
+        predecessor named by :meth:`succeed`) and cached."""
+        return self._take_over() or build_benefit_matrices(
             self._rows.whole(), self.combiner, *self._models
         )
 

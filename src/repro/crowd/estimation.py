@@ -196,7 +196,9 @@ class BetaSkillEstimator:
         is exactly what a real platform does; the simulator's
         estimation mode uses this.  :meth:`LaborMarket.with_skills`
         checks the :meth:`_skill_estimates` matrix once, instead of one
-        ``Worker`` validation per worker.
+        ``Worker`` validation per worker.  Only rows of workers with
+        new answers move, and the engine's next planning problem
+        re-evaluates only those (``MBAProblem.succeed``).
         """
         return market.with_skills(self._skill_estimates(market))
 

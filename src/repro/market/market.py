@@ -8,7 +8,6 @@ index arrays without re-checking.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -279,20 +278,25 @@ class LaborMarket:
 
         ``skills`` is checked once as a whole — shape
         ``(n_workers, n_categories)``, then the skill check ``Worker``
-        runs on its one row.  Workers are
-        shallow copies of this market's (already validated) workers,
-        each with its own copy of its row, so no per-worker validation
-        runs again; tasks, taxonomy and requesters are shared.
+        runs on its one row — and nothing else is: workers are
+        :meth:`Worker.clone` copies of this market's (already
+        validated) workers, each with its own copy of its row, and
+        tasks, taxonomy and requesters are shared without being
+        validated again, as :meth:`from_arrays` does.
         """
         skills = np.asarray(skills, dtype=float)
         check_shape("skill matrix", skills, (self.n_workers, len(self.taxonomy)))
         check_skills([w.worker_id for w in self.workers], skills)
-        workers = []
-        for worker, row in zip(self.workers, skills):
-            clone = copy.copy(worker)
-            clone.skills = row.copy()
-            workers.append(clone)
-        return LaborMarket(workers, self.tasks, self.taxonomy, self.requesters)
+        market = LaborMarket.__new__(LaborMarket)
+        market.workers = [
+            worker.clone(row.copy(), worker.interests)
+            for worker, row in zip(self.workers, skills)
+        ]
+        market.tasks = list(self.tasks)
+        market.taxonomy = self.taxonomy
+        market.requesters = list(self.requesters)
+        market._index_requester_tasks()
+        return market
 
     def subset(
         self,

@@ -100,6 +100,17 @@ class Worker:
         worker.active = True
         return worker
 
+    def clone(self, skills: np.ndarray, interests: np.ndarray) -> "Worker":
+        """A copy of this worker, ``active`` included, that carries
+        ``skills`` and ``interests``: arrays of this worker's shape,
+        already checked by the caller, so ``__post_init__`` is skipped."""
+        worker = self._unchecked(
+            self.worker_id, skills, self.capacity, self.reservation_wage,
+            interests,
+        )
+        worker.active = self.active
+        return worker
+
     def skill_for(self, category: int) -> float:
         """Skill level for one category id."""
         return float(self.skills[category])

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 import pickle
@@ -124,10 +123,10 @@ class Simulation:
         # and interest arrays are copied too: the drift model mutates
         # skills in place.
         base = scenario.market
-        workers = [copy.copy(w) for w in base.workers]
-        for w in workers:
-            w.skills = w.skills.copy()
-            w.interests = w.interests.copy()
+        workers = [
+            w.clone(w.skills.copy(), w.interests.copy())
+            for w in base.workers
+        ]
         retention = (
             dataclasses.replace(scenario.retention, _satisfaction={})
             if scenario.retention is not None
@@ -141,6 +140,10 @@ class Simulation:
 
         start_round = 0
         latest: bytes | None = None
+        # The last round's planning problem: the next one takes over
+        # its benefit matrices (MBAProblem.succeed).  A resumed run
+        # starts without one.
+        previous: MBAProblem | None = None
         if resume and store is not None:
             snapshot = self._load_snapshot(store)
             if snapshot is not None:
@@ -165,6 +168,7 @@ class Simulation:
             start_round = scenario.n_rounds
 
         def _run_round(round_index: int, round_span) -> None:
+            nonlocal previous
             faults = (
                 plan.for_round(round_index) if plan is not None else None
             )
@@ -195,6 +199,8 @@ class Simulation:
                 if estimator is not None
                 else true_problem
             )
+            planning_problem.succeed(previous)
+            previous = planning_problem
             with obs.span(
                 "assign", solver=scenario.solver_name
             ) as assign_span:

@@ -201,22 +201,36 @@ class TestMarketSnapshot:
 
 
 class TestBuildCount:
-    def _run(self, estimator):
+    """Round after round the planning problem takes over the previous
+    round's matrices and re-evaluates only the rows whose worker moved
+    (``MBAProblem.succeed``); the true-skill problem of a round planned
+    on estimates is accounted at its assigned edges and never built."""
+
+    def _run(self, estimator, drift=None):
         scenario = Scenario(
             market=amt_like_market(30, 15, seed=0),
             solver_name="greedy",
             n_rounds=3,
             retention=None,
             estimator=estimator,
+            drift=drift,
         )
         with obs.tracing() as tracer:
             Simulation(scenario).run(seed=0)
-        return tracer.metrics.counters["benefit.matrix_builds"]
+        counters = tracer.metrics.counters
+        return (
+            counters["benefit.matrix_builds"],
+            counters.get("benefit.rows_rebuilt"),
+        )
 
-    def test_one_build_per_round_with_an_estimator(self):
-        # Only the planning problem (estimated skills) is built; the
-        # true-skill problem is accounted at its assigned edges.
-        assert self._run(BetaSkillEstimator()) == 3
+    def test_one_build_then_the_moved_rows_with_an_estimator(self):
+        # Rounds 1 and 2 re-evaluate the 57 of 2 x 30 rows whose
+        # estimated skills moved.
+        assert self._run(BetaSkillEstimator()) == (1, 57)
 
-    def test_one_build_per_round_without_an_estimator(self):
-        assert self._run(None) == 3
+    def test_one_build_and_no_rows_without_an_estimator(self):
+        assert self._run(None) == (1, 0)
+
+    def test_drift_that_moves_every_row_builds_every_round(self):
+        drift = SkillDriftModel(learning_rate=0.5, decay_rate=0.3)
+        assert self._run(None, drift) == (3, None)
