@@ -33,7 +33,6 @@ exact passthrough: the base solver's edges verbatim.
 from __future__ import annotations
 
 import importlib
-import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -332,13 +331,13 @@ class ShardedSolver(Solver):
 
         used_parallel = False
         local_edges: dict[int, list[tuple[int, int]]] = {}
-        want_parallel = (
-            self.parallel_workers > 1
-            and len(shards) > 1
+        want_parallel = self.parallel_workers > 1 and len(shards) > 1
+        if want_parallel:
             # Never nest process pools: inside a sweep worker the
             # parent already parallelizes over points.
-            and multiprocessing.parent_process() is None
-        )
+            import multiprocessing
+
+            want_parallel = multiprocessing.parent_process() is None
         with obs.span(
             "shard.solve",
             shards=len(shards),

@@ -20,10 +20,8 @@ from repro.crowd.quality import (
 )
 from repro.crowd.aggregation import (
     DawidSkeneResult,
-    TwoCoinResult,
     dawid_skene,
     majority_vote,
-    two_coin_dawid_skene,
     weighted_majority_vote,
 )
 
@@ -31,7 +29,6 @@ __all__ = [
     "AnswerSet",
     "BetaSkillEstimator",
     "DawidSkeneResult",
-    "TwoCoinResult",
     "dawid_skene",
     "knowledge_coverage_quality",
     "majority_vote",
@@ -39,7 +36,6 @@ __all__ = [
     "marginal_quality_gain",
     "plurality_accuracy",
     "simulate_answers",
-    "two_coin_dawid_skene",
     "weighted_majority_vote",
     "weighted_vote_accuracy",
 ]

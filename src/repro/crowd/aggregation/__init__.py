@@ -1,4 +1,4 @@
-"""Answer aggregation: majority, weighted, Dawid–Skene (one/two-coin), GLAD.
+"""Answer aggregation: majority, weighted, one-coin Dawid–Skene, GLAD.
 
 Besides the raw aggregation functions, this package owns the
 :data:`AGGREGATOR_REGISTRY` — the single source of truth for which
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from repro.crowd.aggregation.dawid_skene import DawidSkeneResult, dawid_skene
 from repro.crowd.aggregation.glad import GladResult, glad
 from repro.crowd.aggregation.majority import majority_vote
-from repro.crowd.aggregation.two_coin import TwoCoinResult, two_coin_dawid_skene
 from repro.crowd.aggregation.weighted import weighted_majority_vote
 from repro.crowd.answer_model import AnswerSet
 from repro.errors import ConfigurationError
@@ -107,12 +106,10 @@ __all__ = [
     "AggregatorSpec",
     "DawidSkeneResult",
     "GladResult",
-    "TwoCoinResult",
     "aggregator_names",
     "dawid_skene",
     "get_aggregator",
     "glad",
     "majority_vote",
-    "two_coin_dawid_skene",
     "weighted_majority_vote",
 ]

@@ -20,7 +20,6 @@ top-level solves; point parallelism belongs to the sweep.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import pickle
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -218,6 +217,8 @@ def run_sweep(
         _check_picklable(measure, workers)
     context = None
     if mp_context is not None:
+        import multiprocessing
+
         try:
             context = multiprocessing.get_context(mp_context)
         except ValueError:

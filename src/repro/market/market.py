@@ -224,13 +224,13 @@ class LaborMarket:
         """``(n_workers, n_categories)`` matrix of skills."""
         if not self.workers:
             return np.zeros((0, len(self.taxonomy)))
-        return np.stack([w.skills for w in self.workers])
+        return np.array([w.skills for w in self.workers])
 
     def interest_matrix(self) -> np.ndarray:
         """``(n_workers, n_categories)`` matrix of interests."""
         if not self.workers:
             return np.zeros((0, len(self.taxonomy)))
-        return np.stack([w.interests for w in self.workers])
+        return np.array([w.interests for w in self.workers])
 
     def pair_skills(self) -> np.ndarray:
         """``(n_workers, n_tasks)`` skill of each worker in each task's category."""

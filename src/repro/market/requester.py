@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from repro.errors import ValidationError
 
 
-@dataclass
+@dataclass(slots=True)
 class Requester:
     """A task requester with a budget.
 

@@ -9,7 +9,7 @@ import numpy as np
 from repro.market.checks import check_task_fields
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """A crowdsourcing task posted by a requester.
 

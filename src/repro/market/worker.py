@@ -21,7 +21,7 @@ def accuracy(skill, difficulty):
     return 0.5 + (skill - 0.5) * (1.0 - difficulty)
 
 
-@dataclass
+@dataclass(slots=True)
 class Worker:
     """A crowd worker.
 

@@ -46,22 +46,18 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable, Sequence
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro import obs
 from repro.errors import ConfigurationError, ValidationError
 from repro.resilience.faults import ChaosPlan
 from repro.utils.atomic import atomic_write_text
 from repro.utils.rng import derive_rng
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 CHECKPOINT_SCHEMA = "repro-checkpoint/1"
 _MANIFEST_NAME = "manifest.json"
@@ -437,6 +433,10 @@ class SupervisedPool:
     # -- pool lifecycle --------------------------------------------------
 
     def _spawn(self) -> ProcessPoolExecutor:
+        # The pool stack (concurrent.futures, multiprocessing, socket,
+        # logging) loads here, not on every ``import repro``.
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(
             max_workers=self.n_workers,
             mp_context=self.mp_context,
@@ -491,6 +491,8 @@ class SupervisedPool:
         self, executor, fn, tasks, pending, isolation, in_flight,
         attempts, stats,
     ):
+        from concurrent.futures.process import BrokenProcessPool
+
         while len(in_flight) < self._capacity(isolation):
             if isolation:
                 if in_flight:
@@ -522,6 +524,8 @@ class SupervisedPool:
         return executor
 
     def _await_one(self, in_flight) -> None:
+        from concurrent.futures import FIRST_COMPLETED, wait
+
         timeout = None
         if self.policy.task_timeout is not None:
             now = time.monotonic()
@@ -537,6 +541,8 @@ class SupervisedPool:
         self, executor, done, in_flight, results, pending, isolation,
         attempts, errors, crashes, stats, on_result,
     ):
+        from concurrent.futures.process import BrokenProcessPool
+
         # Successes first: a pool breakage clears in_flight wholesale,
         # and a task that finished cleanly in the same pass should land
         # in the results, not be needlessly requeued as implicated.

@@ -1,6 +1,6 @@
 """Dict-of-dicts references for the array-native answer layer.
 
-Majority and weighted votes, one- and two-coin Dawid–Skene and the
+Majority and weighted votes, one-coin Dawid–Skene and the
 Beta estimator's round fold and estimated market used to loop in Python
 over ``{task: {worker: answer}}``.  Those loops live on here, unchanged
 apart from reading that dict from :func:`answer_dicts`, as the ground
@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from repro.crowd.aggregation.dawid_skene import _EPS, DawidSkeneResult
-from repro.crowd.aggregation.two_coin import TwoCoinResult
 from repro.crowd.aggregation.weighted import log_odds_weight
 from repro.crowd.answer_model import AnswerSet
 from repro.crowd.estimation import BetaSkillEstimator
@@ -142,94 +141,6 @@ def dawid_skene_reference(
         labels=labels,
         posteriors=dict(posterior),
         worker_accuracies=dict(accuracy),
-        log_likelihood=log_likelihood,
-        iterations=iterations,
-    )
-
-
-def two_coin_dawid_skene_reference(
-    answer_set: AnswerSet,
-    max_iterations: int = 100,
-    tolerance: float = 1e-7,
-) -> TwoCoinResult:
-    answers = answer_dicts(answer_set)
-    tasks = sorted(answers)
-    workers = sorted({w for by_worker in answers.values() for w in by_worker})
-    if not tasks:
-        return TwoCoinResult({}, {}, {}, {}, 0.5, 0.0, 0)
-
-    posterior: dict[int, float] = {}
-    for task in tasks:
-        by_worker = answers[task]
-        posterior[task] = (sum(by_worker.values()) + 1.0) / (len(by_worker) + 2.0)
-
-    sensitivity = {w: 0.7 for w in workers}
-    specificity = {w: 0.7 for w in workers}
-    class_prior = 0.5
-    log_likelihood = -math.inf
-    iterations = 0
-
-    for iterations in range(1, max_iterations + 1):
-        # M-step.
-        pos_agree = {w: 0.0 for w in workers}
-        pos_total = {w: 0.0 for w in workers}
-        neg_agree = {w: 0.0 for w in workers}
-        neg_total = {w: 0.0 for w in workers}
-        prior_mass = 0.0
-        for task in tasks:
-            p1 = posterior[task]
-            prior_mass += p1
-            for worker, answer in answers[task].items():
-                pos_total[worker] += p1
-                neg_total[worker] += 1.0 - p1
-                if answer == 1:
-                    pos_agree[worker] += p1
-                else:
-                    neg_agree[worker] += 1.0 - p1
-        class_prior = _clip(prior_mass / len(tasks))
-        for worker in workers:
-            if pos_total[worker] > 0:
-                sensitivity[worker] = _clip(
-                    pos_agree[worker] / pos_total[worker]
-                )
-            if neg_total[worker] > 0:
-                specificity[worker] = _clip(
-                    neg_agree[worker] / neg_total[worker]
-                )
-
-        # E-step + likelihood.
-        new_ll = 0.0
-        for task in tasks:
-            log_p1 = math.log(class_prior)
-            log_p0 = math.log(1.0 - class_prior)
-            for worker, answer in answers[task].items():
-                sens = sensitivity[worker]
-                spec = specificity[worker]
-                if answer == 1:
-                    log_p1 += math.log(sens)
-                    log_p0 += math.log(1.0 - spec)
-                else:
-                    log_p1 += math.log(1.0 - sens)
-                    log_p0 += math.log(spec)
-            peak = max(log_p1, log_p0)
-            evidence = peak + math.log(
-                math.exp(log_p1 - peak) + math.exp(log_p0 - peak)
-            )
-            posterior[task] = math.exp(log_p1 - evidence)
-            new_ll += evidence
-
-        if new_ll - log_likelihood < tolerance and iterations > 1:
-            log_likelihood = new_ll
-            break
-        log_likelihood = new_ll
-
-    labels = {task: int(posterior[task] >= 0.5) for task in tasks}
-    return TwoCoinResult(
-        labels=labels,
-        posteriors=dict(posterior),
-        sensitivities=dict(sensitivity),
-        specificities=dict(specificity),
-        class_prior=class_prior,
         log_likelihood=log_likelihood,
         iterations=iterations,
     )

@@ -21,7 +21,6 @@ from repro.crowd.aggregation import (
     dawid_skene,
     glad,
     majority_vote,
-    two_coin_dawid_skene,
     weighted_majority_vote,
 )
 from repro.crowd.answer_model import (
@@ -41,7 +40,6 @@ from tests.crowd_reference import (
     estimated_market_reference,
     majority_vote_reference,
     record_answers_reference,
-    two_coin_dawid_skene_reference,
     weighted_majority_vote_reference,
 )
 
@@ -196,13 +194,6 @@ class TestDawidSkeneAgainstReference:
         )
         assert fast.log_likelihood == ref.log_likelihood
 
-    @given(answer_sets)
-    @settings(max_examples=100, deadline=None)
-    def test_two_coin_matches_dict_em(self, answers):
-        assert two_coin_dawid_skene(answers) == two_coin_dawid_skene_reference(
-            answers
-        )
-
     @given(dict_answer_sets(), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_em_results_ignore_task_order(self, answers, shuffle):
@@ -214,7 +205,6 @@ class TestDawidSkeneAgainstReference:
             {t: by_task[t] for t in tasks}, answers.truths
         )
         assert dawid_skene(shuffled) == dawid_skene(answers)
-        assert two_coin_dawid_skene(shuffled) == two_coin_dawid_skene(answers)
         assert glad(shuffled, max_iterations=5) == glad(
             answers, max_iterations=5
         )

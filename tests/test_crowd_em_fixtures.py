@@ -1,17 +1,19 @@
 """EM aggregators against results recorded before their libm caching.
 
-One- and two-coin Dawid–Skene and GLAD keep each per-worker log and
+One-coin Dawid–Skene and GLAD keep each per-worker log and
 each task's ``exp``/``log``/``exp`` results between EM iterations and
 re-evaluate only the entries whose input moved.  The binary reference
 loops in ``tests/crowd_reference.py`` do not cover K > 2 with a
-non-uniform prior, two-coin at market scale, or GLAD at all, so
+non-uniform prior, or GLAD at all, so
 ``tests/fixtures/em_results.json`` pins them: its answer sets are
 one-coin K = 3 and K = 4 sets with non-uniform class priors, and the
 three round answer sets of the ``batch_large`` benchmark workload at
 seed 0, and its results (labels, posteriors, per-worker accuracies or
 abilities, log-likelihood, iterations) were recorded by the
 implementation that called ``math.log``/``math.exp`` for every entry
-on every iteration.  Every float is compared with ``==``.
+on every iteration.  Every float is compared with ``==``.  The fixture
+also holds the retired two-coin model's three ``batch_large`` results,
+which nothing reads any more.
 
 The work counters are pinned too: each EM run records its iterations
 and its libm evaluations once, as ``crowd.em.iterations`` and
@@ -28,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.crowd.aggregation import dawid_skene, glad, two_coin_dawid_skene
+from repro.crowd.aggregation import dawid_skene, glad
 from repro.crowd.aggregation.dawid_skene import TaskRows, _moved
 from repro.crowd.answer_model import AnswerSet
 
@@ -41,13 +43,12 @@ CASES = [
     *(
         (f"batch_large_round{r}", method, None)
         for r in range(3)
-        for method in ("dawid_skene", "two_coin", "glad")
+        for method in ("dawid_skene", "glad")
     ),
 ]
 
 METHODS = {
     "dawid_skene": dawid_skene,
-    "two_coin": two_coin_dawid_skene,
     "glad": glad,
 }
 
@@ -150,7 +151,6 @@ def test_result_independent_of_earlier_runs(recorded):
 # or 118 980 over its 90 iterations.
 COUNTERS = {
     ("batch_large_round0", "dawid_skene"): (90, 21_389),
-    ("batch_large_round0", "two_coin"): (100, 89_960),
     ("batch_large_round0", "glad"): (50, 37_532),
     ("k3", "dawid_skene"): (21, 11_228),
 }

@@ -18,7 +18,6 @@ from repro.crowd.aggregation import (
     dawid_skene,
     glad,
     majority_vote,
-    two_coin_dawid_skene,
     weighted_majority_vote,
 )
 from repro.crowd.answer_model import AnswerSet, simulate_answers
@@ -202,7 +201,6 @@ class TestClassGuards:
             lambda: AnswerSet([0], [0], [3], n_classes=3),
             lambda: AnswerSet([0], [0], [-1], n_classes=3),
             lambda: weighted_majority_vote(THREE_CLASSES, {0: 0.9}),
-            lambda: two_coin_dawid_skene(THREE_CLASSES),
             lambda: glad(THREE_CLASSES),
             lambda: dawid_skene(THREE_CLASSES, class_prior=(0.5, 0.5)),
             lambda: dawid_skene(THREE_CLASSES, class_prior=(0.5, 0.5, 0.0)),
@@ -212,7 +210,6 @@ class TestClassGuards:
             "vote-above-range",
             "negative-vote",
             "weighted",
-            "two-coin",
             "glad",
             "prior-length",
             "prior-zero",

@@ -7,6 +7,7 @@ check is one array check shared by ``Worker``/``Task`` and
 """
 
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -29,11 +30,11 @@ SIZES = [(1, 1), (7, 3), (3, 7), (60, 45)]
 
 
 def _assert_same_entity(a, b):
+    # Entities are slotted dataclasses: no ``vars()``, so walk the
+    # declared fields.
     assert type(a) is type(b)
-    fields_a, fields_b = vars(a), vars(b)
-    assert list(fields_a) == list(fields_b)
-    for name, value in fields_a.items():
-        other = fields_b[name]
+    for name in (f.name for f in dataclasses.fields(a)):
+        value, other = getattr(a, name), getattr(b, name)
         assert type(value) is type(other), name
         if isinstance(value, np.ndarray):
             assert value.dtype == other.dtype, name
@@ -354,3 +355,59 @@ class TestBuiltMarket:
         assert _error(
             lambda: _from_arrays().with_skills(np.full((2, 2), 0.5))
         ) == "skill matrix has shape (2, 2), expected (2, 3)"
+
+    def test_ragged_skill_rows_raise(self):
+        market = _from_arrays()
+        market.workers[1].skills = np.full(2, 0.5)
+        with pytest.raises(ValueError):
+            market.skill_matrix()
+
+
+def _entities():
+    market = _from_arrays()
+    return {
+        "checked": [
+            Worker(worker_id=0, skills=np.array([0.7, 0.8])),
+            Task(task_id=0, category=1),
+            Requester(requester_id=0),
+        ],
+        "from_arrays": [*market.workers, *market.tasks],
+    }
+
+
+class TestSlottedEntities:
+    """``Worker``, ``Task`` and ``Requester`` are slotted dataclasses:
+    no per-instance ``__dict__``, only declared fields, and pickles and
+    ``dataclasses.replace`` still give equal entities."""
+
+    @pytest.mark.parametrize("built", ["checked", "from_arrays"])
+    def test_no_instance_dict(self, built):
+        for entity in _entities()[built]:
+            assert not hasattr(entity, "__dict__"), type(entity).__name__
+
+    @pytest.mark.parametrize("built", ["checked", "from_arrays"])
+    def test_undeclared_attribute_raises(self, built):
+        for entity in _entities()[built]:
+            with pytest.raises(AttributeError):
+                entity.undeclared = 1
+
+    @pytest.mark.parametrize(
+        "protocol", range(2, pickle.HIGHEST_PROTOCOL + 1)
+    )
+    def test_from_arrays_entities_pickle(self, protocol):
+        # The engine's checkpoint snapshots pickle workers.
+        for entity in _entities()["from_arrays"]:
+            restored = pickle.loads(pickle.dumps(entity, protocol=protocol))
+            assert not hasattr(restored, "__dict__")
+            _assert_same_entity(restored, entity)
+
+    def test_replace_keeps_every_other_field(self):
+        worker = _from_arrays(capacities=np.array([1, 3])).workers[1]
+        worker.active = False
+        skills = np.array([0.1, 0.2, 0.3])
+        replaced = dataclasses.replace(worker, skills=skills)
+        assert not hasattr(replaced, "__dict__")
+        assert np.array_equal(replaced.skills, skills)
+        _assert_same_entity(
+            dataclasses.replace(replaced, skills=worker.skills), worker
+        )

@@ -21,12 +21,12 @@ class TestExports:
         assert "auction" in names
 
     def test_subpackage_exports(self):
-        from repro.crowd import BetaSkillEstimator, two_coin_dawid_skene
+        from repro.crowd import BetaSkillEstimator, dawid_skene
         from repro.core import BudgetConstraint, ConstrainedGreedySolver
         from repro.stream import StreamDispatcher
         from repro.eval import Table
 
-        assert BetaSkillEstimator and two_coin_dawid_skene
+        assert BetaSkillEstimator and dawid_skene
         assert BudgetConstraint and ConstrainedGreedySolver
         assert StreamDispatcher and Table
 
