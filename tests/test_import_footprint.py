@@ -19,10 +19,18 @@ RUN_PATH = ("repro.cli", "repro.spec", "repro.sim.engine", "repro.stream")
 POOL_STACK = ("multiprocessing", "concurrent.futures", "socket", "logging")
 
 
-def test_run_path_imports_leave_the_pool_stack_unloaded():
+# The three modules that load the pool stack only at their point of use.
+LAZY_POOL_SITES = (
+    "repro.resilience.runtime",
+    "repro.core.solvers.sharded",
+    "repro.eval.sweep",
+)
+
+
+def _pool_stack_loaded_by(modules):
     script = (
         "import sys\n"
-        + "".join(f"import {name}\n" for name in RUN_PATH)
+        + "".join(f"import {name}\n" for name in modules)
         + f"print(sorted(set({POOL_STACK!r}) & set(sys.modules)))\n"
     )
     path = os.pathsep.join(
@@ -36,4 +44,12 @@ def test_run_path_imports_leave_the_pool_stack_unloaded():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
-    assert completed.stdout.strip() == "[]"
+    return completed.stdout.strip()
+
+
+def test_run_path_imports_leave_the_pool_stack_unloaded():
+    assert _pool_stack_loaded_by(RUN_PATH) == "[]"
+
+
+def test_lazy_pool_sites_leave_the_pool_stack_unloaded():
+    assert _pool_stack_loaded_by(LAZY_POOL_SITES) == "[]"

@@ -362,6 +362,28 @@ class TestBuiltMarket:
         with pytest.raises(ValueError):
             market.skill_matrix()
 
+    def test_ragged_interest_rows_raise(self):
+        market = _from_arrays()
+        market.workers[0].interests = np.full(4, 0.5)
+        with pytest.raises(ValueError):
+            market.interest_matrix()
+
+    @pytest.mark.parametrize("size", SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_matrices_match_row_stack(self, size):
+        # Built with np.array from the row list; same values and dtype
+        # as stacking the rows.
+        market = generate_market(
+            SyntheticConfig(n_workers=size[0], n_tasks=size[1]), seed=0
+        )
+        for built, rows in (
+            (market.skill_matrix(), [w.skills for w in market.workers]),
+            (market.interest_matrix(), [w.interests for w in market.workers]),
+        ):
+            stacked = np.stack(rows)
+            assert built.dtype == stacked.dtype
+            assert built.shape == stacked.shape
+            assert np.array_equal(built, stacked)
+
 
 def _entities():
     market = _from_arrays()
@@ -398,6 +420,12 @@ class TestSlottedEntities:
         # The engine's checkpoint snapshots pickle workers.
         for entity in _entities()["from_arrays"]:
             restored = pickle.loads(pickle.dumps(entity, protocol=protocol))
+            assert not hasattr(restored, "__dict__")
+            _assert_same_entity(restored, entity)
+
+    def test_checked_entities_pickle(self):
+        for entity in _entities()["checked"]:
+            restored = pickle.loads(pickle.dumps(entity))
             assert not hasattr(restored, "__dict__")
             _assert_same_entity(restored, entity)
 
